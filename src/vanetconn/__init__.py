@@ -14,6 +14,8 @@ from .connectivity import (
     eigenvalues_symmetric,
     is_connected_exponent,
     is_connected_laplacian,
+    line_chain,
+    line_reachable,
     min_range_for_target,
     oracle_components,
     oracle_reachable,

@@ -451,6 +451,29 @@ def selftest(verbose: int = 0) -> int:
     ok &= _check("fixed-range methods agree on 200 random snapshots",
                  disagreements == 0, f"{disagreements} disagreements")
 
+    # the O(n) line kernels equal the dense traversal oracle and chain
+    line_rng = np.random.default_rng(11)
+    mismatch = 0
+    for policy in (FixedRange(750.0), TwoTierRange(500.0, 1000.0, 0.5),
+                   UniformRange(750.0, 100.0), UniformRange(750.0, 100.0, (650.0, 850.0))):
+        for _ in range(200):
+            scenario = traffic.TrafficScenario(line_rng.uniform(0.002, 0.025), 10_000.0)
+            headways = traffic.sample_headways(scenario, line_rng)
+            assignment = ranges.assign_ranges(policy, scenario.vehicle_count, line_rng)
+            mismatch += not _line_matches_dense(headways, assignment)
+    # x_2 - x_1 == R_1 links; half an ulp lower, x_1 + R_1 still rounds to
+    # x_2, yet x_2 - x_1 > R_1 and nothing reaches vehicle 2
+    gaps = traffic.HeadwayVector(np.array([1000.0, 750.0]))
+    exact = ranges.RangeAssignment(np.array([1000.0, 750.0, 500.0]))
+    rounded = ranges.RangeAssignment(np.array([1000.0, 750.0 - 2.0 ** -43, 500.0]))
+    tie_ok = (1000.0 + rounded.ranges[1] == 1750.0
+              and _line_matches_dense(gaps, exact) and _line_matches_dense(gaps, rounded)
+              and connectivity.line_reachable(gaps, exact)
+              and not connectivity.line_reachable(gaps, rounded))
+    ok &= _check("line kernel == dense oracle/chain on 800 random snapshots",
+                 mismatch == 0, f"{mismatch} mismatches")
+    ok &= _check("line kernel == dense oracle/chain on spacing ties", tie_ok)
+
     # zero-eigenvalue count equals union-find component count
     mismatch = 0
     for _ in range(200):
@@ -477,6 +500,21 @@ def selftest(verbose: int = 0) -> int:
 
     print("selftest:", "all checks passed" if ok else "FAILURES above")
     return 0 if ok else 1
+
+
+def _line_matches_dense(headways, assignment) -> bool:
+    """The line kernels agree with the dense route: reachability with the
+    directed search, the chain with the superdiagonal and, for one fixed
+    range, the chain with the union-find component count."""
+    full = graphs.build_adjacency(traffic.spacing_matrix(headways), assignment)
+    upward = graphs.project(full, "upward")
+    chain = connectivity.line_chain(headways, assignment)
+    if np.all(assignment.ranges == assignment.ranges[0]) \
+            and chain != (connectivity.oracle_components(full) == 1):
+        return False
+    return (chain == connectivity.consecutive_chain(upward)
+            and connectivity.line_reachable(headways, assignment)
+            == connectivity.oracle_reachable(upward, 0, upward.size - 1))
 
 
 def _interval_patterns(n: int):

@@ -7,6 +7,13 @@ Four independent routes are provided on purpose so they can check each other:
 * traversal oracles: union-find component count and directed breadth-first
   reachability,
 * closed-form models for the fixed-range and per-gap chain events.
+
+The line kernels ``line_chain`` and ``line_reachable`` give the traversal and
+chain verdicts in O(n) straight from the gaps and ranges.  Vehicles sit on a
+line and a transmitter that reaches a vehicle also reaches every vehicle in
+between, so the set reached from the first vehicle is always a prefix and a
+break shows as a cut between neighbours (Dousse, Thiran & Hasler, INFOCOM
+2002).  The dense routes stay as the cross-checks.
 """
 
 from __future__ import annotations
@@ -17,13 +24,35 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import DIRECTION_UPWARD, Adjacency, Laplacian
-from .ranges import FixedRange, RangePolicy, TwoTierRange, UniformRange
+from .ranges import FixedRange, RangeAssignment, RangePolicy, TwoTierRange, UniformRange
+from .traffic import HeadwayVector
+
+# A Laplacian eigenvalue counts as zero below _ZERO_TOLERANCE_FACTOR * n * eps
+# * (max degree).  The symmetric eigensolver errs by a small multiple of
+# eps * ||L|| <= 2 eps * (max degree); on random highway snapshots up to
+# N = 1,000 the zero eigenvalues stayed within 0.26 n eps (max degree).  The
+# smallest nonzero eigenvalue of a connected n-vertex graph is the path's
+# 2 - 2 cos(pi / n) ~ pi^2 / n^2 (Fiedler 1973), which stays above this
+# tolerance for paths up to N ~ 70,000.
+_ZERO_TOLERANCE_FACTOR = 64.0
 
 
 def default_zero_tolerance(n: int) -> float:
-    # Laplacian spectra are bounded by twice the max degree (< 2n), so a
-    # tolerance proportional to n tracks the attainable rounding error.
+    """Size-only tolerance 1e-8 * n for callers that pass one explicitly.
+
+    It exceeds the connected path's algebraic connectivity (~pi^2 / n^2) from
+    N ~ 1,000 on, so the spectral routines default to
+    ``laplacian_zero_tolerance`` instead.
+    """
     return 1e-8 * n
+
+
+def laplacian_zero_tolerance(lap: Laplacian) -> float:
+    """Zero tolerance scaled by machine epsilon, size and the largest degree
+    (the Laplacian's diagonal)."""
+    m = lap.entries
+    max_degree = max(float(m.diagonal().max()), 1.0)
+    return _ZERO_TOLERANCE_FACTOR * m.shape[0] * np.finfo(np.float64).eps * max_degree
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,7 +76,7 @@ def eigenvalues_symmetric(lap: Laplacian, zero_tolerance: float | None = None) -
         raise ValueError("need at least a 2x2 matrix")
     if not np.array_equal(m, m.T):
         raise ValueError("matrix is not symmetric")
-    tol = default_zero_tolerance(m.shape[0]) if zero_tolerance is None else zero_tolerance
+    tol = laplacian_zero_tolerance(lap) if zero_tolerance is None else zero_tolerance
     eig = np.linalg.eigvalsh(m)
     # a Laplacian is positive semidefinite with a zero eigenvalue (constant
     # vector), so the lowest eigenvalue must sit inside [-tol, tol]
@@ -168,6 +197,53 @@ def consecutive_chain(a: Adjacency) -> bool:
     if a.direction != DIRECTION_UPWARD:
         raise ValueError(f"chain test expects an upward adjacency, got {a.direction!r}")
     return bool(np.all(np.diagonal(a.entries, offset=1)))
+
+
+# --- O(n) line kernels --------------------------------------------------------
+
+
+def _line_inputs(headways: HeadwayVector, assignment: RangeAssignment):
+    if headways.vehicle_count != assignment.vehicle_count:
+        raise ValueError(
+            f"dimension mismatch: {headways.vehicle_count} vehicles in headways, "
+            f"{assignment.vehicle_count} ranges"
+        )
+    return headways.positions, assignment.ranges
+
+
+def line_chain(headways: HeadwayVector, assignment: RangeAssignment) -> bool:
+    """Consecutive-chain event in O(n): every spacing S[i, i+1] <= R_i.
+
+    With one fixed range this is also undirected connectivity: a spacing
+    wider than R cuts the line, since no link can span a wider gap.
+    Equals ``consecutive_chain`` of the dense upward adjacency.
+    """
+    positions, ranges = _line_inputs(headways, assignment)
+    return bool((positions[1:] - positions[:-1] <= ranges[:-1]).all())
+
+
+def line_reachable(headways: HeadwayVector, assignment: RangeAssignment) -> bool:
+    """Upward reachability of the last vehicle from the first in O(n).
+
+    Vehicle k is reached iff some i < k has S[i, k] <= R_i, that is iff the
+    running maximum of x_i + R_i over i < k passes x_k.  The float sum can
+    round across x_k, so it only decides where it is clear of x_k: a rounded
+    sum above x_k is a sure link, one more than an ulp below x_k a sure
+    break.  In that one-ulp band the dense test x_k - x_i <= R_i decides.
+    Equals ``oracle_reachable`` of the dense upward adjacency from 0 to n - 1.
+    """
+    positions, ranges = _line_inputs(headways, assignment)
+    reach = np.maximum.accumulate(positions[:-1] + ranges[:-1])
+    target = positions[1:]
+    unsure = reach <= target
+    if not unsure.any():
+        return True
+    if (reach < target - np.spacing(target)).any():
+        return False
+    for k in np.flatnonzero(unsure) + 1:
+        if not (positions[k] - positions[:k] <= ranges[:k]).any():
+            return False
+    return True
 
 
 # --- closed-form models -----------------------------------------------------

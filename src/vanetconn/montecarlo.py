@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
@@ -22,11 +23,10 @@ from .connectivity import (
     AnalyticModel,
     analytic_pc,
     analytic_pc_chain_mixed,
-    consecutive_chain,
     is_connected_exponent,
     is_connected_laplacian,
-    oracle_components,
-    oracle_reachable,
+    line_chain,
+    line_reachable,
 )
 from .graphs import DIRECTION_UPWARD, build_adjacency, laplacian, project, symmetrize
 from .ranges import FixedRange, RangeAssignment, RangePolicy, assign_ranges, mean_range, policy_label
@@ -43,6 +43,9 @@ DIRECTIONS = (DIRECTION_UNDIRECTED, DIRECTION_UPWARD)
 # spectral/exponent verdicts cost a cubic solve each.
 DEFAULT_TRAVERSAL_TRIALS = 10_000
 DEFAULT_SPECTRAL_TRIALS = 2_000
+
+# Trials per process-pool task.
+CHUNK_SIZE = 512
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -104,6 +107,9 @@ class ExperimentSpec:
             raise ValueError("analytic-chain applies to mixed-range policies only")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.trials > 1 << 32:  # trial_seed would reuse streams
+            raise ValueError(f"trials must be <= 2**32 (the seed keeps 32 bits of the "
+                             f"trial index), got {self.trials}")
 
     @property
     def trial_methods(self) -> tuple:
@@ -161,11 +167,12 @@ def _realization(spec: ExperimentSpec, density_index: int, trial_index: int):
 
 def _verdicts(spec: ExperimentSpec, headways, assignment: RangeAssignment,
               methods: tuple) -> dict:
-    adjacency = build_adjacency(spacing_matrix(headways), assignment)
-    n = adjacency.size
-    upward = None
-    if spec.direction == DIRECTION_UPWARD or "chain" in methods:
-        upward = project(adjacency, DIRECTION_UPWARD)
+    # only the spectral and walk methods need the n x n matrices; traversal
+    # and chain verdicts come from the O(n) line kernels
+    if "laplacian" in methods or "exponent" in methods:
+        adjacency = build_adjacency(spacing_matrix(headways), assignment)
+        if spec.direction == DIRECTION_UPWARD:
+            upward = project(adjacency, DIRECTION_UPWARD)
     verdicts = {}
     for method in methods:
         if method == "laplacian":
@@ -176,11 +183,11 @@ def _verdicts(spec: ExperimentSpec, headways, assignment: RangeAssignment,
             verdicts[method] = is_connected_exponent(graph)
         elif method == "oracle":
             if spec.direction == DIRECTION_UNDIRECTED:
-                verdicts[method] = oracle_components(adjacency) == 1
+                verdicts[method] = line_chain(headways, assignment)
             else:
-                verdicts[method] = oracle_reachable(upward, 0, n - 1)
+                verdicts[method] = line_reachable(headways, assignment)
         elif method == "chain":
-            verdicts[method] = consecutive_chain(upward)
+            verdicts[method] = line_chain(headways, assignment)
         else:
             raise ValueError(f"not a per-trial method: {method}")
     return verdicts
@@ -217,15 +224,28 @@ def _chunk_counts(args):
     return counts, disagreements
 
 
+@contextmanager
+def _pool(spec: ExperimentSpec, workers: int):
+    """A process pool for the spec's cells, or None when it could overlap
+    nothing: cells run one after another, so a pool only overlaps the chunks
+    of one cell, and with a single chunk per cell it would add only start-up,
+    pickling and IPC."""
+    if workers > 1 and spec.trials > CHUNK_SIZE:
+        with ProcessPoolExecutor(max_workers=workers) as executor:
+            yield executor
+    else:
+        yield None
+
+
 def _count_trials(spec: ExperimentSpec, density_index: int,
-                  executor: Optional[ProcessPoolExecutor], chunk_size: int = 512):
+                  executor: Optional[ProcessPoolExecutor]):
     if not spec.trial_methods:
         return {}, {}
     if executor is None:
         return _chunk_counts((spec, density_index, 0, spec.trials))
     chunks = [
-        (spec, density_index, start, min(start + chunk_size, spec.trials))
-        for start in range(0, spec.trials, chunk_size)
+        (spec, density_index, start, min(start + CHUNK_SIZE, spec.trials))
+        for start in range(0, spec.trials, CHUNK_SIZE)
     ]
     counts = dict.fromkeys(spec.trial_methods, 0)
     disagreements = dict.fromkeys(combinations(spec.trial_methods, 2), 0)
@@ -275,23 +295,17 @@ def estimate(spec: ExperimentSpec, density_index: int, workers: int = 1):
     """Connectivity estimates (one per method) at a single grid point."""
     if not 0 <= density_index < len(spec.densities_per_km):
         raise IndexError(f"density index {density_index} outside the grid")
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as executor:
-            return _estimate_rows(spec, density_index, executor)
-    return _estimate_rows(spec, density_index, None)
+    with _pool(spec, workers) as executor:
+        return _estimate_rows(spec, density_index, executor)
 
 
 def sweep(spec: ExperimentSpec, workers: int = 1):
     """Estimates over the whole density grid; rows are independent and the
     table does not depend on scheduling or worker count."""
     rows = []
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as executor:
-            for density_index in range(len(spec.densities_per_km)):
-                rows.extend(_estimate_rows(spec, density_index, executor))
-    else:
+    with _pool(spec, workers) as executor:
         for density_index in range(len(spec.densities_per_km)):
-            rows.extend(_estimate_rows(spec, density_index, None))
+            rows.extend(_estimate_rows(spec, density_index, executor))
     return rows
 
 
@@ -301,18 +315,9 @@ def compare_methods(spec: ExperimentSpec, workers: int = 1):
     if len(spec.trial_methods) < 2:
         raise ValueError("method comparison needs at least two trial-based methods")
     rows = []
-
-    def one_density(density_index, executor):
-        density_per_km = spec.densities_per_km[density_index]
-        _, disagreements = _count_trials(spec, density_index, executor)
-        for (a, b), count in sorted(disagreements.items()):
-            rows.append(MethodDisagreement(density_per_km, a, b, count, spec.trials))
-
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as executor:
-            for density_index in range(len(spec.densities_per_km)):
-                one_density(density_index, executor)
-    else:
-        for density_index in range(len(spec.densities_per_km)):
-            one_density(density_index, None)
+    with _pool(spec, workers) as executor:
+        for density_index, density_per_km in enumerate(spec.densities_per_km):
+            _, disagreements = _count_trials(spec, density_index, executor)
+            for (a, b), count in sorted(disagreements.items()):
+                rows.append(MethodDisagreement(density_per_km, a, b, count, spec.trials))
     return rows

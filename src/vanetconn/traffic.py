@@ -70,6 +70,11 @@ class HeadwayVector:
     def vehicle_count(self) -> int:
         return self.gaps.size + 1
 
+    @property
+    def positions(self) -> np.ndarray:
+        """Cumulative vehicle positions in meters, the first vehicle at 0."""
+        return np.concatenate(([0.0], np.cumsum(self.gaps)))
+
 
 def sample_headways(scenario: TrafficScenario, rng: np.random.Generator) -> HeadwayVector:
     """Draw the scenario's exponential headways with mean 1/density.
@@ -114,6 +119,6 @@ def spacing_matrix(headways: HeadwayVector) -> SpacingMatrix:
     sample_headways) all positions, differences, and sums of entries are
     exact in float64.
     """
-    positions = np.concatenate(([0.0], np.cumsum(headways.gaps)))
+    positions = headways.positions
     entries = np.abs(positions[None, :] - positions[:, None])
     return SpacingMatrix(entries)

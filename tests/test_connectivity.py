@@ -17,6 +17,8 @@ from vanetconn.connectivity import (
     expected_headway_cdf,
     is_connected_exponent,
     is_connected_laplacian,
+    line_chain,
+    line_reachable,
     min_range_for_target,
     oracle_components,
     oracle_reachable,
@@ -125,6 +127,32 @@ class TestSpectral:
 
     def test_default_tolerance_scales_with_size(self):
         assert default_zero_tolerance(100) == pytest.approx(1e-6)
+
+
+def two_cliques(n, bridged):
+    """Two complete halves of an n-vehicle graph, joined by one edge or not."""
+    half = n // 2
+    entries = np.zeros((n, n), dtype=bool)
+    entries[:half, :half] = entries[half:, half:] = True
+    np.fill_diagonal(entries, False)
+    entries[half - 1, half] = entries[half, half - 1] = bridged
+    return Adjacency(entries, "full")
+
+
+class TestZeroToleranceAtLargeN:
+    # a connected path's algebraic connectivity ~pi^2/n^2 falls below the
+    # size-only tolerance 1e-8 n from N ~ 1,000 on
+    @pytest.mark.parametrize("n", [1000, 2000])
+    @pytest.mark.parametrize("graph", ["path", "bridged_cliques", "split_cliques"])
+    def test_spectral_components_match_union_find(self, n, graph):
+        if graph == "path":
+            a = path_adjacency(n)
+        else:
+            a = two_cliques(n, bridged=graph == "bridged_cliques")
+        lap = laplacian(a)
+        components = oracle_components(a)
+        assert component_count(eigenvalues_symmetric(lap)) == components
+        assert is_connected_laplacian(lap) == (components == 1)
 
 
 class TestBoolPower:
@@ -244,6 +272,90 @@ class TestChain:
     def test_requires_upward_input(self, golden_adjacency):
         with pytest.raises(ValueError):
             consecutive_chain(golden_adjacency)
+
+
+def dense_traversal(headways, assignment):
+    """(reachable, components == 1, chain) from the dense n x n route."""
+    full = build_adjacency(traffic.spacing_matrix(headways), assignment)
+    up = project(full, "upward")
+    symmetric = np.array_equal(full.entries, full.entries.T)
+    connected = oracle_components(full) == 1 if symmetric else None
+    return oracle_reachable(up, 0, up.size - 1), connected, consecutive_chain(up)
+
+
+class TestLineKernels:
+    def test_rounded_sum_tie_is_not_a_link(self):
+        # x_1 + R_1 rounds to x_2 = 1750 in float64, but x_2 - x_1 = 750 > R_1
+        r1 = 750.0 - 2.0 ** -43
+        assert 1000.0 + r1 == 1750.0 and 1750.0 - 1000.0 > r1
+        headways = traffic.HeadwayVector(np.array([1000.0, 750.0]))
+        assignment = ranges.RangeAssignment(np.array([1000.0, r1, 500.0]))
+        assert dense_traversal(headways, assignment) == (False, None, False)
+        assert not line_reachable(headways, assignment)
+        assert not line_chain(headways, assignment)
+
+    def test_exact_spacing_tie_is_a_link(self):
+        headways = traffic.HeadwayVector(np.array([1000.0, 750.0]))
+        assignment = ranges.RangeAssignment(np.array([1000.0, 750.0, 500.0]))
+        assert dense_traversal(headways, assignment) == (True, None, True)
+        assert line_reachable(headways, assignment) and line_chain(headways, assignment)
+
+    def test_rounded_sum_one_ulp_short_still_links(self):
+        # off-grid positions [0, 2^-53, 1, 1 + 2^-52]: x_1 + R_1 rounds to 1,
+        # an ulp below x_3, yet x_3 - x_1 rounds to 1 <= R_1, so 1 -> 3 links
+        headways = traffic.HeadwayVector(np.array([2.0 ** -53, 1.0, 2.0 ** -52]))
+        assignment = ranges.RangeAssignment(np.array([2.0 ** -53, 1.0, 2.0 ** -53, 1.0]))
+        positions = headways.positions
+        assert positions[1] + 1.0 < positions[3]
+        assert dense_traversal(headways, assignment) == (True, None, False)
+        assert line_reachable(headways, assignment)
+        assert not line_chain(headways, assignment)
+
+    def test_bridge_reaches_past_broken_chain(self):
+        headways = traffic.HeadwayVector(np.array([300.0, 200.0]))
+        assignment = ranges.RangeAssignment(np.array([600.0, 100.0, 50.0]))
+        assert line_reachable(headways, assignment)
+        assert not line_chain(headways, assignment)
+
+    def test_rejects_size_mismatch(self):
+        headways = traffic.HeadwayVector(np.array([300.0, 200.0]))
+        with pytest.raises(ValueError):
+            line_chain(headways, ranges.RangeAssignment(np.array([600.0, 100.0])))
+        with pytest.raises(ValueError):
+            line_reachable(headways, ranges.RangeAssignment(np.array([600.0, 100.0])))
+
+    @pytest.mark.parametrize("policy", [
+        FixedRange(750.0),
+        TwoTierRange(500.0, 1000.0, 0.5),
+        UniformRange(750.0, 100.0),
+        UniformRange(750.0, 100.0, (650.0, 850.0)),
+    ], ids=["fixed", "two_tier", "uniform", "uniform_discrete"])
+    def test_matches_dense_route(self, policy):
+        rng = np.random.default_rng(11)
+        for density_per_km in np.linspace(2.0, 25.0, 24):
+            for _ in range(8):
+                _, headways, assignment = random_snapshot(
+                    rng, density_per_km / 1000.0, 10_000.0, policy)
+                reachable, connected, chain = dense_traversal(headways, assignment)
+                assert line_reachable(headways, assignment) == reachable
+                assert line_chain(headways, assignment) == chain
+                if isinstance(policy, FixedRange):
+                    assert line_chain(headways, assignment) == connected
+
+    def test_matches_dense_route_on_long_roads(self):
+        # continuous uniform ranges fall off the 2^-26 m grid
+        rng = np.random.default_rng(12)
+        outcomes = set()
+        for density_per_km in (10.0, 15.0, 20.0):
+            for _ in range(5):
+                _, headways, assignment = random_snapshot(
+                    rng, density_per_km / 1000.0, 100_000.0, UniformRange(500.0, 100.0))
+                assert 1_000 <= headways.vehicle_count <= 2_000
+                reachable, _, chain = dense_traversal(headways, assignment)
+                assert line_reachable(headways, assignment) == reachable
+                assert line_chain(headways, assignment) == chain
+                outcomes.add(reachable)
+        assert outcomes == {False, True}
 
 
 class TestDirectedReductions:

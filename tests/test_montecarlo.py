@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from vanetconn import montecarlo
 from vanetconn.connectivity import AnalyticModel, analytic_pc
 from vanetconn.montecarlo import (
+    CHUNK_SIZE,
     ExperimentSpec,
     compare_methods,
     estimate,
@@ -50,6 +52,12 @@ class TestSpecValidation:
     def test_rejects_nonpositive_trials(self):
         with pytest.raises(ValueError):
             fixed_spec(trials=0)
+
+    def test_rejects_trials_beyond_seed_stream(self):
+        # trial_seed keeps 32 bits of the trial index
+        assert fixed_spec(trials=2 ** 32).trials == 2 ** 32
+        with pytest.raises(ValueError, match="trials"):
+            fixed_spec(trials=2 ** 32 + 1)
 
 
 class TestSeeding:
@@ -151,6 +159,21 @@ class TestSweep:
         spec = fixed_spec(methods=("oracle", "chain"), trials=64, densities=(6.0, 12.0))
         assert sweep(spec, workers=1) == sweep(spec, workers=2)
 
+    def test_worker_count_invariance_across_chunks(self):
+        spec = upward_spec(methods=("oracle", "chain"), trials=2 * CHUNK_SIZE + 100,
+                           densities=(6.0, 12.0))
+        assert sweep(spec, workers=1) == sweep(spec, workers=2)
+
+    def test_single_chunk_cells_start_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started for single-chunk cells")
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
+        spec = upward_spec(methods=("oracle", "chain"), trials=CHUNK_SIZE, densities=(8.0,))
+        assert sweep(spec, workers=2) == sweep(spec)
+        assert estimate(spec, 0, workers=2) == estimate(spec, 0)
+        assert compare_methods(spec, workers=2) == compare_methods(spec)
+
     def test_rows_cover_grid_times_methods(self):
         spec = fixed_spec(methods=("oracle", "analytic"), trials=20)
         rows = sweep(spec)
@@ -189,4 +212,9 @@ class TestCompareMethods:
 
     def test_worker_invariance(self):
         spec = upward_spec(methods=("oracle", "chain"), trials=64, densities=(8.0,))
+        assert compare_methods(spec, workers=1) == compare_methods(spec, workers=2)
+
+    def test_worker_invariance_across_chunks(self):
+        spec = upward_spec(methods=("oracle", "chain"), trials=2 * CHUNK_SIZE + 100,
+                           densities=(8.0,))
         assert compare_methods(spec, workers=1) == compare_methods(spec, workers=2)
