@@ -5,6 +5,7 @@ selftest."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -46,32 +47,13 @@ class ConfigError(ValueError):
     """Invalid run configuration; message names the offending key path."""
 
 
-class RunConfig:
-    """Validated experiment description plus output/verbosity settings."""
+@dataclasses.dataclass(frozen=True)
+class RunConfig(ExperimentSpec):
+    """Validated experiment spec plus where to write it and how many worker
+    processes to use; pass it wherever an ExperimentSpec goes."""
 
-    def __init__(self, densities_per_km, segment_length_m, policy, methods,
-                 direction, trials, master_seed, output=None, workers=1, verbosity=0):
-        self.densities_per_km = tuple(densities_per_km)
-        self.segment_length_m = segment_length_m
-        self.policy = policy
-        self.methods = tuple(methods)
-        self.direction = direction
-        self.trials = trials
-        self.master_seed = master_seed
-        self.output = output
-        self.workers = workers
-        self.verbosity = verbosity
-
-    def experiment_spec(self) -> ExperimentSpec:
-        return ExperimentSpec(
-            densities_per_km=self.densities_per_km,
-            segment_length_m=self.segment_length_m,
-            policy=self.policy,
-            methods=self.methods,
-            direction=self.direction,
-            trials=self.trials,
-            master_seed=self.master_seed,
-        )
+    output: str | None = None
+    workers: int = 1
 
 
 # --- config assembly ---------------------------------------------------------
@@ -263,18 +245,15 @@ def parse_config(file_config: dict | None = None, flags=None) -> RunConfig:
     if not isinstance(master_seed, int) or isinstance(master_seed, bool):
         raise ConfigError(f"master_seed: expected an integer, got {master_seed!r}")
 
-    run = RunConfig(
-        densities_per_km=densities, segment_length_m=segment_length, policy=policy,
-        methods=methods, direction=direction, trials=trials, master_seed=master_seed,
-        output=getattr(args, "output", None),
-        workers=getattr(args, "workers", None) or 1,
-        verbosity=getattr(args, "verbose", 0) or 0,
-    )
     try:
-        run.experiment_spec()
+        return RunConfig(
+            densities_per_km=densities, segment_length_m=segment_length, policy=policy,
+            methods=methods, direction=direction, trials=trials, master_seed=master_seed,
+            output=getattr(args, "output", None),
+            workers=getattr(args, "workers", None) or 1,
+        )
     except ValueError as err:
         raise ConfigError(str(err)) from None
-    return run
 
 
 # --- CSV emission -------------------------------------------------------------
@@ -358,13 +337,12 @@ def run_figure_preset(name: str, master_seed: int = DEFAULT_MASTER_SEED,
     fig5: upward two-tier 500/1000 m mixes at five high-range fractions.
     fig6: upward uniform random ranges, means 500/750/1000 m, std 100 m.
     """
-    table = []
-    for spec in _preset_specs(name, master_seed, trials_traversal, trials_spectral):
-        if verbose:
+    specs = list(_preset_specs(name, master_seed, trials_traversal, trials_spectral))
+    if verbose:
+        for spec in specs:
             print(f"preset {name}: {ranges.policy_label(spec.policy)} "
                   f"methods={','.join(spec.methods)} trials={spec.trials}", file=sys.stderr)
-        table.extend(montecarlo.sweep(spec, workers=workers))
-    return emit_csv(table, Path(outdir) / f"{name}.csv")
+    return emit_csv(montecarlo.sweep(*specs, workers=workers), Path(outdir) / f"{name}.csv")
 
 
 # --- selftest ---------------------------------------------------------------
@@ -533,12 +511,24 @@ def _interval_patterns(n: int):
 # --- subcommands --------------------------------------------------------------
 
 
-def _warn_density(cfg: RunConfig) -> None:
+def _config(args) -> RunConfig:
+    """The subcommand's run config from its file and flags; warns on stderr
+    when a density lies outside the free-flow regime."""
+    cfg = parse_config(load_config_file(args.config) if args.config else None, args)
     worst = max(cfg.densities_per_km)
     if worst > traffic.FREE_FLOW_MAX_DENSITY_PER_KM:
         print(f"warning: density {worst:g} veh/km exceeds the free-flow regime "
               f"(<= {traffic.FREE_FLOW_MAX_DENSITY_PER_KM:g} veh/km) the headway "
               "model assumes", file=sys.stderr)
+    return cfg
+
+
+def _report(rows, output) -> int:
+    if output:
+        print(f"wrote {emit_csv(rows, output)}")
+    else:
+        _print_estimates(rows)
+    return 0
 
 
 def _print_estimates(rows) -> None:
@@ -555,11 +545,10 @@ def _default_outdir(args) -> Path:
 
 
 def _cmd_single(args) -> int:
-    cfg = parse_config(load_config_file(args.config) if args.config else None, args)
+    cfg = _config(args)
     if len(cfg.densities_per_km) != 1:
         raise ConfigError("densities_per_km: the single command takes exactly one density")
-    _warn_density(cfg)
-    rows = montecarlo.estimate(cfg.experiment_spec(), 0, workers=cfg.workers)
+    rows = montecarlo.estimate(cfg, 0, workers=cfg.workers)
     _print_estimates(rows)
     if cfg.output:
         print(f"wrote {emit_csv(rows, cfg.output)}")
@@ -567,30 +556,17 @@ def _cmd_single(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = parse_config(load_config_file(args.config) if args.config else None, args)
-    _warn_density(cfg)
-    rows = montecarlo.sweep(cfg.experiment_spec(), workers=cfg.workers)
-    if cfg.output:
-        print(f"wrote {emit_csv(rows, cfg.output)}")
-    else:
-        _print_estimates(rows)
-    return 0
+    cfg = _config(args)
+    return _report(montecarlo.sweep(cfg, workers=cfg.workers), cfg.output)
 
 
 def _cmd_analytic(args) -> int:
-    cfg = parse_config(load_config_file(args.config) if args.config else None, args)
+    cfg = _config(args)
     keep = tuple(m for m in cfg.methods if m in ANALYTIC_METHODS) or ("analytic",)
     if "analytic-chain" in keep and isinstance(cfg.policy, FixedRange):
         keep = tuple(m for m in keep if m != "analytic-chain")
-    cfg.methods = keep
-    cfg.trials = 1
-    _warn_density(cfg)
-    rows = montecarlo.sweep(cfg.experiment_spec())
-    if cfg.output:
-        print(f"wrote {emit_csv(rows, cfg.output)}")
-    else:
-        _print_estimates(rows)
-    return 0
+    return _report(montecarlo.sweep(dataclasses.replace(cfg, methods=keep, trials=1)),
+                   cfg.output)
 
 
 def _cmd_figure(args) -> int:
@@ -608,10 +584,9 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    cfg = parse_config(load_config_file(args.config) if args.config else None, args)
-    _warn_density(cfg)
+    cfg = _config(args)
     try:
-        report = montecarlo.compare_methods(cfg.experiment_spec(), workers=cfg.workers)
+        report = montecarlo.compare_methods(cfg, workers=cfg.workers)
     except ValueError as err:
         raise ConfigError(str(err)) from None
     print(f"{'density/km':>10}  {'methods':<24} {'disagree':>9} {'trials':>7}")

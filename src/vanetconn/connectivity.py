@@ -124,19 +124,13 @@ def bool_power_reach(a: Adjacency, k: int) -> np.ndarray:
     return _bool_power(a.entries, k)
 
 
-def is_connected_exponent(a: Adjacency, relaxed: bool = False) -> bool:
-    """End-to-end verdict from the (n-1)th adjacency power.
-
-    With relaxed=True the power is taken of (A or I), which detects walks of
-    length *up to* n-1 instead of exactly n-1.
-    """
+def is_connected_exponent(a: Adjacency) -> bool:
+    """End-to-end verdict from the (n-1)th adjacency power: a walk of exactly
+    n-1 links from the first vehicle to the last."""
     n = a.size
     if n < 2:
         raise ValueError("need at least 2 vehicles")
-    entries = a.entries
-    if relaxed:
-        entries = entries | np.eye(n, dtype=bool)
-    return bool(_bool_power(entries, n - 1)[0, n - 1])
+    return bool(_bool_power(a.entries, n - 1)[0, n - 1])
 
 
 def oracle_components(a: Adjacency) -> int:

@@ -125,12 +125,3 @@ def laplacian(a: Adjacency) -> Laplacian:
     np.fill_diagonal(lap, degrees)
     return Laplacian(lap)
 
-
-def adjacency_text(a: Adjacency) -> str:
-    """Plain-text 0/1 grid, row-major, space-separated (debug dump)."""
-    return "\n".join(" ".join("1" if v else "0" for v in row) for row in a.entries)
-
-
-def laplacian_text(l: Laplacian) -> str:
-    """Plain-text signed-integer grid, row-major, space-separated."""
-    return "\n".join(" ".join(str(int(v)) for v in row) for row in l.entries)

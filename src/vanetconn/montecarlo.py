@@ -30,7 +30,7 @@ from .connectivity import (
 )
 from .graphs import DIRECTION_UPWARD, build_adjacency, laplacian, project, symmetrize
 from .ranges import FixedRange, RangeAssignment, RangePolicy, assign_ranges, mean_range, policy_label
-from .traffic import TrafficScenario, sample_headways, spacing_matrix
+from .traffic import TrafficScenario, sample_headways, spacing_matrix, vehicle_count
 
 TRIAL_METHODS = ("laplacian", "exponent", "oracle", "chain")
 ANALYTIC_METHODS = ("analytic", "analytic-chain")
@@ -46,6 +46,14 @@ DEFAULT_SPECTRAL_TRIALS = 2_000
 
 # Trials per process-pool task.
 CHUNK_SIZE = 512
+
+# Largest vehicle count the dense methods accept: each n x n float64 array
+# takes 8 n^2 bytes, 200 MB at this size.
+MAX_DENSE_VEHICLES = 5_000
+
+# OpenBLAS entry points that set its thread count, one per symbol flavour.
+_BLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                     "openblas_set_num_threads64_", "openblas_set_num_threads")
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -110,6 +118,11 @@ class ExperimentSpec:
         if self.trials > 1 << 32:  # trial_seed would reuse streams
             raise ValueError(f"trials must be <= 2**32 (the seed keeps 32 bits of the "
                              f"trial index), got {self.trials}")
+        dense = [m for m in self.methods if m in ("laplacian", "exponent")]
+        n = vehicle_count(max(self.densities_per_km) / 1000.0, self.segment_length_m)
+        if dense and n > MAX_DENSE_VEHICLES:
+            raise ValueError(f"methods {dense} build n x n arrays and are limited to "
+                             f"{MAX_DENSE_VEHICLES} vehicles; the grid reaches {n}")
 
     @property
     def trial_methods(self) -> tuple:
@@ -173,6 +186,9 @@ def _verdicts(spec: ExperimentSpec, headways, assignment: RangeAssignment,
         adjacency = build_adjacency(spacing_matrix(headways), assignment)
         if spec.direction == DIRECTION_UPWARD:
             upward = project(adjacency, DIRECTION_UPWARD)
+    # undirected (one fixed range) oracle is the chain: one line_chain serves both
+    if "chain" in methods or (spec.direction == DIRECTION_UNDIRECTED and "oracle" in methods):
+        chain = line_chain(headways, assignment)
     verdicts = {}
     for method in methods:
         if method == "laplacian":
@@ -183,11 +199,11 @@ def _verdicts(spec: ExperimentSpec, headways, assignment: RangeAssignment,
             verdicts[method] = is_connected_exponent(graph)
         elif method == "oracle":
             if spec.direction == DIRECTION_UNDIRECTED:
-                verdicts[method] = line_chain(headways, assignment)
+                verdicts[method] = chain
             else:
                 verdicts[method] = line_reachable(headways, assignment)
         elif method == "chain":
-            verdicts[method] = line_chain(headways, assignment)
+            verdicts[method] = chain
         else:
             raise ValueError(f"not a per-trial method: {method}")
     return verdicts
@@ -224,14 +240,37 @@ def _chunk_counts(args):
     return counts, disagreements
 
 
+def _one_blas_thread():
+    """Pool-worker initializer: limit the loaded OpenBLAS to one thread.
+
+    OpenBLAS starts one thread per core in every process, so `workers`
+    processes would run workers x cores threads that spin against each
+    other; with 2 workers on 2 cores a Laplacian sweep took twice as long as
+    with one thread per worker. Does nothing where no OpenBLAS is found."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in maps if "openblas" in line}
+    except OSError:
+        return
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in _BLAS_SET_THREADS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter(1)
+                break
+
+
 @contextmanager
-def _pool(spec: ExperimentSpec, workers: int):
-    """A process pool for the spec's cells, or None when it could overlap
-    nothing: cells run one after another, so a pool only overlaps the chunks
-    of one cell, and with a single chunk per cell it would add only start-up,
-    pickling and IPC."""
-    if workers > 1 and spec.trials > CHUNK_SIZE:
-        with ProcessPoolExecutor(max_workers=workers) as executor:
+def _pool(specs: tuple, workers: int):
+    """One process pool for all cells of all the specs, or None when it could
+    overlap nothing: cells run one after another, so a pool only overlaps the
+    chunks of one cell, and with a single chunk per cell it would add only
+    start-up, pickling and IPC."""
+    if workers > 1 and any(spec.trials > CHUNK_SIZE for spec in specs):
+        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as executor:
             yield executor
     else:
         yield None
@@ -295,17 +334,19 @@ def estimate(spec: ExperimentSpec, density_index: int, workers: int = 1):
     """Connectivity estimates (one per method) at a single grid point."""
     if not 0 <= density_index < len(spec.densities_per_km):
         raise IndexError(f"density index {density_index} outside the grid")
-    with _pool(spec, workers) as executor:
+    with _pool((spec,), workers) as executor:
         return _estimate_rows(spec, density_index, executor)
 
 
-def sweep(spec: ExperimentSpec, workers: int = 1):
-    """Estimates over the whole density grid; rows are independent and the
-    table does not depend on scheduling or worker count."""
+def sweep(*specs: ExperimentSpec, workers: int = 1):
+    """Estimates over the whole density grid of each spec, in order, from one
+    process pool; rows are independent and the table does not depend on
+    scheduling or worker count."""
     rows = []
-    with _pool(spec, workers) as executor:
-        for density_index in range(len(spec.densities_per_km)):
-            rows.extend(_estimate_rows(spec, density_index, executor))
+    with _pool(specs, workers) as executor:
+        for spec in specs:
+            for density_index in range(len(spec.densities_per_km)):
+                rows.extend(_estimate_rows(spec, density_index, executor))
     return rows
 
 
@@ -315,7 +356,7 @@ def compare_methods(spec: ExperimentSpec, workers: int = 1):
     if len(spec.trial_methods) < 2:
         raise ValueError("method comparison needs at least two trial-based methods")
     rows = []
-    with _pool(spec, workers) as executor:
+    with _pool((spec,), workers) as executor:
         for density_index, density_per_km in enumerate(spec.densities_per_km):
             _, disagreements = _count_trials(spec, density_index, executor)
             for (a, b), count in sorted(disagreements.items()):

@@ -1,16 +1,13 @@
-import numpy as np
 import pytest
 
-from vanetconn import graphs, ranges, traffic
+from vanetconn import cli, ranges, traffic
 
 
 @pytest.fixture
 def golden_adjacency():
     """Three-vehicle two-range witness: gaps [200, 400] m, ranges
     [300, 250, 500] m, whose full adjacency is [[0,1,0],[1,0,0],[0,1,0]]."""
-    spacing = traffic.spacing_matrix(traffic.HeadwayVector(np.array([200.0, 400.0])))
-    assignment = ranges.RangeAssignment(np.array([300.0, 250.0, 500.0]))
-    return graphs.build_adjacency(spacing, assignment)
+    return cli._golden_three_vehicle()
 
 
 def random_snapshot(rng, density_m, segment_m, policy):

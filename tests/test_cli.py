@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from vanetconn import cli
+from vanetconn import cli, montecarlo
 from vanetconn.cli import (
     CSV_HEADER,
     ConfigError,
@@ -84,6 +84,12 @@ class TestParseConfig:
     def test_flag_density_list(self):
         cfg = parse_config(dict(MINIMAL), flags(density=[7.0, 9.0]))
         assert cfg.densities_per_km == (7.0, 9.0)
+
+    def test_run_config_sweeps_like_its_spec(self):
+        raw = dict(MINIMAL, methods=["oracle", "chain", "analytic"], trials=30, master_seed=4)
+        spec = ExperimentSpec((5.0, 10.0, 15.0), 10_000.0, FixedRange(750.0),
+                              ("oracle", "chain", "analytic"), "undirected", 30, 4)
+        assert sweep(parse_config(raw)) == sweep(spec)
 
     def test_invalid_direction_policy_combo_is_config_error(self):
         raw = dict(MINIMAL, direction="undirected",
@@ -177,6 +183,33 @@ class TestFigurePresets:
         with pytest.raises(ConfigError):
             run_figure_preset("fig9", outdir=tmp_path)
 
+    def test_preset_starts_one_pool(self, tmp_path, monkeypatch):
+        # every cell has two chunks; the stand-in pool runs each chunk over
+        # an empty trial range, so only the pool plumbing is exercised
+        started, cells = [], set()
+
+        class StandInPool:
+            def __init__(self, max_workers, initializer=None):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, chunks):
+                for spec, density_index, start, _ in chunks:
+                    cells.add((spec, density_index))
+                    yield fn((spec, density_index, start, start))
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", StandInPool)
+        trials = montecarlo.CHUNK_SIZE + 1
+        run_figure_preset("fig1", trials_traversal=trials, trials_spectral=trials,
+                          outdir=tmp_path, workers=2)
+        assert started == [2]
+        assert len(cells) == 6 * len(cli.PRESET_DENSITIES)
+
     def test_preset_rerun_identical(self, tmp_path):
         a = run_figure_preset("fig6", master_seed=5, trials_traversal=2,
                               trials_spectral=2, outdir=tmp_path / "a")
@@ -224,6 +257,16 @@ class TestMainEntry:
                          "--fraction-high", "1.5"])
         assert code == 2
         assert "fraction_high" in capsys.readouterr().err
+
+    def test_dense_method_above_cap_is_config_error(self, capsys):
+        # 1 veh/km over MAX_DENSE_VEHICLES + 1 km; refused before any trial runs
+        length = (montecarlo.MAX_DENSE_VEHICLES + 1) * 1000.0
+        code = cli.main(["single", "--density", "1", "--segment-length", str(length),
+                         "--policy", "fixed", "--range", "750", "--trials", "1",
+                         "--method", "laplacian"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "methods" in err
 
     def test_density_warning_over_free_flow(self, capsys):
         code = cli.main(["single", "--density", "40", "--policy", "fixed",

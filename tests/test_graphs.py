@@ -4,10 +4,8 @@ import pytest
 from vanetconn import ranges, traffic
 from vanetconn.graphs import (
     Adjacency,
-    adjacency_text,
     build_adjacency,
     laplacian,
-    laplacian_text,
     project,
     symmetrize,
 )
@@ -149,11 +147,3 @@ class TestLaplacian:
             assert np.all(np.abs(lap.entries.sum(axis=1)) <= 1e-12)
             assert np.array_equal(np.diagonal(lap.entries), a.entries.sum(axis=1))
 
-
-class TestDebugDumps:
-    def test_adjacency_grid(self, golden_adjacency):
-        assert adjacency_text(golden_adjacency) == "0 1 0\n1 0 0\n0 1 0"
-
-    def test_laplacian_grid(self, golden_adjacency):
-        lap = laplacian(symmetrize(project(golden_adjacency, "downward")))
-        assert laplacian_text(lap) == "1 -1 0\n-1 2 -1\n0 -1 1"

@@ -7,6 +7,7 @@ from vanetconn import montecarlo
 from vanetconn.connectivity import AnalyticModel, analytic_pc
 from vanetconn.montecarlo import (
     CHUNK_SIZE,
+    MAX_DENSE_VEHICLES,
     ExperimentSpec,
     compare_methods,
     estimate,
@@ -27,6 +28,22 @@ def fixed_spec(methods=("oracle",), trials=100, seed=1, densities=GRID, segment=
 def upward_spec(methods=("chain", "oracle"), trials=100, seed=1, densities=GRID):
     return ExperimentSpec(densities, 10_000.0, TwoTierRange(500.0, 1000.0, 0.5),
                           methods, "upward", trials, seed)
+
+
+def _openblas_threads(_=None):
+    """Thread count of each OpenBLAS loaded in this process (none found:
+    an empty list)."""
+    import ctypes
+
+    with open("/proc/self/maps") as maps:
+        paths = {line.split(maxsplit=5)[-1].strip() for line in maps if "openblas" in line}
+    counts = []
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        getters = [getattr(lib, name.replace("_set_", "_get_"), None)
+                   for name in montecarlo._BLAS_SET_THREADS]
+        counts.extend([getter() for getter in getters if getter is not None][:1])
+    return counts
 
 
 class TestSpecValidation:
@@ -58,6 +75,21 @@ class TestSpecValidation:
         assert fixed_spec(trials=2 ** 32).trials == 2 ** 32
         with pytest.raises(ValueError, match="trials"):
             fixed_spec(trials=2 ** 32 + 1)
+
+    def test_dense_methods_capped_at_max_vehicles(self):
+        # 1 veh/km on a road of n km holds n vehicles; construction only
+        at_cap = MAX_DENSE_VEHICLES * 1000.0
+        for method in ("laplacian", "exponent"):
+            assert fixed_spec(methods=(method,), densities=(1.0,), segment=at_cap).methods \
+                == (method,)
+            with pytest.raises(ValueError, match=rf"methods.*{MAX_DENSE_VEHICLES + 1}"):
+                fixed_spec(methods=("oracle", method), densities=(0.5, 1.0),
+                           segment=at_cap + 1000.0)
+
+    def test_traversal_methods_uncapped(self):
+        spec = fixed_spec(methods=("oracle", "chain", "analytic"), densities=(1.0,),
+                          segment=(MAX_DENSE_VEHICLES + 1) * 1000.0)
+        assert spec.trial_methods == ("oracle", "chain")
 
 
 class TestSeeding:
@@ -173,6 +205,31 @@ class TestSweep:
         assert sweep(spec, workers=2) == sweep(spec)
         assert estimate(spec, 0, workers=2) == estimate(spec, 0)
         assert compare_methods(spec, workers=2) == compare_methods(spec)
+
+    def test_several_specs_share_one_pool(self, monkeypatch):
+        started = []
+        real_pool = montecarlo.ProcessPoolExecutor
+
+        def counting_pool(*args, **kwargs):
+            started.append(kwargs)
+            return real_pool(*args, **kwargs)
+
+        trials = 2 * CHUNK_SIZE + 100
+        spec_a = upward_spec(methods=("oracle", "chain"), trials=trials, densities=(6.0, 12.0))
+        spec_b = fixed_spec(methods=("oracle", "chain", "analytic"), trials=trials,
+                            densities=(8.0,))
+        expected = sweep(spec_a) + sweep(spec_b)
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", counting_pool)
+        assert sweep(spec_a, spec_b, workers=2) == expected
+        assert [kwargs["max_workers"] for kwargs in started] == [2]
+
+    def test_pool_workers_run_one_blas_thread(self):
+        before = _openblas_threads()
+        spec = fixed_spec(trials=CHUNK_SIZE + 1)
+        with montecarlo._pool((spec,), workers=2) as executor:
+            per_worker = list(executor.map(_openblas_threads, range(4)))
+        assert all(count == 1 for counts in per_worker for count in counts)
+        assert _openblas_threads() == before
 
     def test_rows_cover_grid_times_methods(self):
         spec = fixed_spec(methods=("oracle", "analytic"), trials=20)
