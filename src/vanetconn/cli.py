@@ -338,11 +338,16 @@ def run_figure_preset(name: str, master_seed: int = DEFAULT_MASTER_SEED,
     fig6: upward uniform random ranges, means 500/750/1000 m, std 100 m.
     """
     specs = list(_preset_specs(name, master_seed, trials_traversal, trials_spectral))
+    _announce(f"preset {name}", specs, verbose)
+    return emit_csv(montecarlo.sweep(*specs, workers=workers), Path(outdir) / f"{name}.csv")
+
+
+def _announce(prefix: str, specs, verbose: int) -> None:
+    """With -v, one stderr line per spec about to run."""
     if verbose:
         for spec in specs:
-            print(f"preset {name}: {ranges.policy_label(spec.policy)} "
+            print(f"{prefix}: {ranges.policy_label(spec.policy)} "
                   f"methods={','.join(spec.methods)} trials={spec.trials}", file=sys.stderr)
-    return emit_csv(montecarlo.sweep(*specs, workers=workers), Path(outdir) / f"{name}.csv")
 
 
 # --- selftest ---------------------------------------------------------------
@@ -452,6 +457,23 @@ def selftest(verbose: int = 0) -> int:
                  mismatch == 0, f"{mismatch} mismatches")
     ok &= _check("line kernel == dense oracle/chain on spacing ties", tie_ok)
 
+    # a cell's counts, judged in blocks of trials, equal the sum of its
+    # trials' verdicts, each judged alone
+    block_rng = np.random.default_rng(13)
+    mismatch = 0
+    for policy in (FixedRange(750.0), TwoTierRange(500.0, 1000.0, 0.5),
+                   TwoTierRange(500.0, 1000.0, 0.5, exact_count=True),
+                   UniformRange(750.0, 100.0), UniformRange(750.0, 100.0, (650.0, 850.0))):
+        direction = "undirected" if isinstance(policy, FixedRange) else "upward"
+        spec = ExperimentSpec((float(block_rng.uniform(2.0, 25.0)),), 10_000.0, policy,
+                              ("oracle", "chain"), direction, 150, int(block_rng.integers(1 << 32)))
+        counts = {row.method: row.connected_count for row in montecarlo.sweep(spec)}
+        for method in spec.methods:
+            mismatch += counts[method] != sum(
+                montecarlo.run_trial(spec, 0, t).verdicts[method] for t in range(spec.trials))
+    ok &= _check("block verdict counts == run_trial verdicts on one spec per policy",
+                 mismatch == 0, f"{mismatch} mismatches")
+
     # zero-eigenvalue count equals union-find component count
     mismatch = 0
     for _ in range(200):
@@ -548,6 +570,7 @@ def _cmd_single(args) -> int:
     cfg = _config(args)
     if len(cfg.densities_per_km) != 1:
         raise ConfigError("densities_per_km: the single command takes exactly one density")
+    _announce("single", (cfg,), args.verbose)
     rows = montecarlo.estimate(cfg, 0, workers=cfg.workers)
     _print_estimates(rows)
     if cfg.output:
@@ -557,6 +580,7 @@ def _cmd_single(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _config(args)
+    _announce("sweep", (cfg,), args.verbose)
     return _report(montecarlo.sweep(cfg, workers=cfg.workers), cfg.output)
 
 
@@ -565,8 +589,9 @@ def _cmd_analytic(args) -> int:
     keep = tuple(m for m in cfg.methods if m in ANALYTIC_METHODS) or ("analytic",)
     if "analytic-chain" in keep and isinstance(cfg.policy, FixedRange):
         keep = tuple(m for m in keep if m != "analytic-chain")
-    return _report(montecarlo.sweep(dataclasses.replace(cfg, methods=keep, trials=1)),
-                   cfg.output)
+    spec = dataclasses.replace(cfg, methods=keep, trials=1)
+    _announce("analytic", (spec,), args.verbose)
+    return _report(montecarlo.sweep(spec), cfg.output)
 
 
 def _cmd_figure(args) -> int:
@@ -585,6 +610,7 @@ def _cmd_figure(args) -> int:
 
 def _cmd_compare(args) -> int:
     cfg = _config(args)
+    _announce("compare", (cfg,), args.verbose)
     try:
         report = montecarlo.compare_methods(cfg, workers=cfg.workers)
     except ValueError as err:

@@ -98,19 +98,21 @@ def is_connected_laplacian(lap: Laplacian, zero_tolerance: float | None = None) 
 
 
 def _bool_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # float64 product of 0/1 matrices counts walks exactly (counts <= n),
-    # and thresholding keeps existence only, so overflow cannot occur.
-    return ((x @ y) > 0.0).astype(np.float64)
+    # a product of 0/1 float32 arrays counts walks exactly: each entry sums
+    # at most n <= 2**24 ones, and thresholding keeps existence only
+    return ((x @ y) > 0.0).astype(np.float32)
 
 
-def _bool_power(entries: np.ndarray, k: int) -> np.ndarray:
-    """OR-AND semiring power by repeated squaring: (i, j) set iff a walk of
-    exactly k edges runs from i to j."""
-    base = entries.astype(np.float64)
+def _bool_power(entries: np.ndarray, k: int, rows=slice(None)) -> np.ndarray:
+    """Rows ``rows`` of the OR-AND semiring power by repeated squaring: (i, j)
+    set iff a walk of exactly k edges runs from i to j.  Each set bit of k
+    folds into the kept rows only, so one row costs the squarings plus
+    vector products."""
+    base = entries.astype(np.float32)
     result = None
     while k:
         if k & 1:
-            result = base if result is None else _bool_matmul(result, base)
+            result = base[rows] if result is None else _bool_matmul(result, base)
         k >>= 1
         if k:
             base = _bool_matmul(base, base)
@@ -130,7 +132,7 @@ def is_connected_exponent(a: Adjacency) -> bool:
     n = a.size
     if n < 2:
         raise ValueError("need at least 2 vehicles")
-    return bool(_bool_power(a.entries, n - 1)[0, n - 1])
+    return bool(_bool_power(a.entries, n - 1, 0)[n - 1])
 
 
 def oracle_components(a: Adjacency) -> int:
@@ -202,7 +204,7 @@ def _line_inputs(headways: HeadwayVector, assignment: RangeAssignment):
             f"dimension mismatch: {headways.vehicle_count} vehicles in headways, "
             f"{assignment.vehicle_count} ranges"
         )
-    return headways.positions, assignment.ranges
+    return headways.positions[None], assignment.ranges[None]
 
 
 def line_chain(headways: HeadwayVector, assignment: RangeAssignment) -> bool:
@@ -212,32 +214,41 @@ def line_chain(headways: HeadwayVector, assignment: RangeAssignment) -> bool:
     wider than R cuts the line, since no link can span a wider gap.
     Equals ``consecutive_chain`` of the dense upward adjacency.
     """
-    positions, ranges = _line_inputs(headways, assignment)
-    return bool((positions[1:] - positions[:-1] <= ranges[:-1]).all())
+    return bool(line_chain_rows(*_line_inputs(headways, assignment))[0])
 
 
 def line_reachable(headways: HeadwayVector, assignment: RangeAssignment) -> bool:
     """Upward reachability of the last vehicle from the first in O(n).
+    Equals ``oracle_reachable`` of the dense upward adjacency from 0 to n - 1.
+    """
+    return bool(line_reachable_rows(*_line_inputs(headways, assignment))[0])
+
+
+def line_chain_rows(positions: np.ndarray, ranges: np.ndarray) -> np.ndarray:
+    """``line_chain`` of each row of (rows, n) positions and ranges."""
+    return (positions[:, 1:] - positions[:, :-1] <= ranges[:, :-1]).all(axis=1)
+
+
+def line_reachable_rows(positions: np.ndarray, ranges: np.ndarray) -> np.ndarray:
+    """``line_reachable`` of each row of (rows, n) positions and ranges.
 
     Vehicle k is reached iff some i < k has S[i, k] <= R_i, that is iff the
     running maximum of x_i + R_i over i < k passes x_k.  The float sum can
     round across x_k, so it only decides where it is clear of x_k: a rounded
     sum above x_k is a sure link, one more than an ulp below x_k a sure
     break.  In that one-ulp band the dense test x_k - x_i <= R_i decides.
-    Equals ``oracle_reachable`` of the dense upward adjacency from 0 to n - 1.
     """
-    positions, ranges = _line_inputs(headways, assignment)
-    reach = np.maximum.accumulate(positions[:-1] + ranges[:-1])
-    target = positions[1:]
+    reach = np.maximum.accumulate(positions[:, :-1] + ranges[:, :-1], axis=1)
+    target = positions[:, 1:]
     unsure = reach <= target
-    if not unsure.any():
-        return True
-    if (reach < target - np.spacing(target)).any():
-        return False
-    for k in np.flatnonzero(unsure) + 1:
-        if not (positions[k] - positions[:k] <= ranges[:k]).any():
-            return False
-    return True
+    reached = ~unsure.any(axis=1)
+    open_rows = np.flatnonzero(~reached)
+    band_target = target[open_rows]
+    broken = (reach[open_rows] < band_target - np.spacing(band_target)).any(axis=1)
+    for row in open_rows[~broken]:
+        x, r = positions[row], ranges[row]
+        reached[row] = all((x[k] - x[:k] <= r[:k]).any() for k in np.flatnonzero(unsure[row]) + 1)
+    return reached
 
 
 # --- closed-form models -----------------------------------------------------

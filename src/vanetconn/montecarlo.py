@@ -3,12 +3,16 @@
 Each trial derives its own generator by mixing the master seed with the grid
 position and trial index through a SplitMix64-style bijective finalizer, so
 results are identical for any execution order, chunking, or process count.
+Trials of one grid point run in blocks: each trial takes its raw draws from
+its own generator into one row, then the whole block is transformed and
+judged at once, so results do not depend on the block size either.
 One realization (headways + ranges) feeds every requested method, which makes
 per-realization verdicts directly comparable.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -25,12 +29,19 @@ from .connectivity import (
     analytic_pc_chain_mixed,
     is_connected_exponent,
     is_connected_laplacian,
-    line_chain,
-    line_reachable,
+    line_chain_rows,
+    line_reachable_rows,
 )
 from .graphs import DIRECTION_UPWARD, build_adjacency, laplacian, project, symmetrize
-from .ranges import FixedRange, RangeAssignment, RangePolicy, assign_ranges, mean_range, policy_label
-from .traffic import TrafficScenario, sample_headways, spacing_matrix, vehicle_count
+from .ranges import FixedRange, RangeAssignment, RangeBlock, RangePolicy, mean_range, policy_label
+from .traffic import (
+    HeadwayVector,
+    TrafficScenario,
+    headway_gaps,
+    spacing_matrix,
+    vehicle_count,
+    vehicle_positions,
+)
 
 TRIAL_METHODS = ("laplacian", "exponent", "oracle", "chain")
 ANALYTIC_METHODS = ("analytic", "analytic-chain")
@@ -46,6 +57,10 @@ DEFAULT_SPECTRAL_TRIALS = 2_000
 
 # Trials per process-pool task.
 CHUNK_SIZE = 512
+
+# Vehicles per block of trials that are transformed and judged together:
+# each float64 block array stays within 128 KB.
+BLOCK_ELEMENTS = 2 ** 14
 
 # Largest vehicle count the dense methods accept: each n x n float64 array
 # takes 8 n^2 bytes, 200 MB at this size.
@@ -169,75 +184,122 @@ class MethodDisagreement:
     trials: int
 
 
-def _realization(spec: ExperimentSpec, density_index: int, trial_index: int):
+def _realizations(spec: ExperimentSpec, density_index: int, trials: range):
+    """Gaps (rows, n - 1) and ranges (rows, n) of one cell's trials, one row
+    per trial.  Each trial draws its headway uniforms, then its ranges, from
+    its own generator; the transforms then run once on the whole block."""
     density_m = spec.densities_per_km[density_index] / 1000.0
-    scenario = TrafficScenario(density_m, spec.segment_length_m)
-    rng = trial_rng(spec.master_seed, density_index, trial_index)
-    headways = sample_headways(scenario, rng)
-    assignment = assign_ranges(spec.policy, scenario.vehicle_count, rng)
-    return scenario, headways, assignment
+    n = vehicle_count(density_m, spec.segment_length_m)
+    uniforms = np.empty((len(trials), n - 1))
+    ranges = RangeBlock(spec.policy, len(trials), n)
+    for row, trial_index in enumerate(trials):
+        rng = trial_rng(spec.master_seed, density_index, trial_index)
+        rng.random(out=uniforms[row])
+        ranges.draw(row, rng)
+    return headway_gaps(uniforms, density_m), ranges.ranges()
 
 
-def _verdicts(spec: ExperimentSpec, headways, assignment: RangeAssignment,
+def _verdicts(spec: ExperimentSpec, gaps: np.ndarray, ranges: np.ndarray,
               methods: tuple) -> dict:
-    # only the spectral and walk methods need the n x n matrices; traversal
-    # and chain verdicts come from the O(n) line kernels
-    if "laplacian" in methods or "exponent" in methods:
-        adjacency = build_adjacency(spacing_matrix(headways), assignment)
-        if spec.direction == DIRECTION_UPWARD:
-            upward = project(adjacency, DIRECTION_UPWARD)
+    """Per-method verdicts, a bool array with one entry per row of the block."""
+    positions = vehicle_positions(gaps)
     # undirected (one fixed range) oracle is the chain: one line_chain serves both
-    if "chain" in methods or (spec.direction == DIRECTION_UNDIRECTED and "oracle" in methods):
-        chain = line_chain(headways, assignment)
+    undirected = spec.direction == DIRECTION_UNDIRECTED
+    if "chain" in methods or (undirected and "oracle" in methods):
+        chain = line_chain_rows(positions, ranges)
+    dense = [m for m in methods if m in ("laplacian", "exponent")]
+    if dense:
+        per_row = [_dense_verdicts(spec, HeadwayVector(g), RangeAssignment(r), dense)
+                   for g, r in zip(gaps, ranges)]
     verdicts = {}
     for method in methods:
-        if method == "laplacian":
-            graph = adjacency if spec.direction == DIRECTION_UNDIRECTED else symmetrize(upward)
-            verdicts[method] = is_connected_laplacian(laplacian(graph))
-        elif method == "exponent":
-            graph = adjacency if spec.direction == DIRECTION_UNDIRECTED else upward
-            verdicts[method] = is_connected_exponent(graph)
-        elif method == "oracle":
-            if spec.direction == DIRECTION_UNDIRECTED:
-                verdicts[method] = chain
-            else:
-                verdicts[method] = line_reachable(headways, assignment)
-        elif method == "chain":
+        if method in dense:
+            verdicts[method] = np.array([row[method] for row in per_row])
+        elif method == "chain" or (method == "oracle" and undirected):
             verdicts[method] = chain
+        elif method == "oracle":
+            verdicts[method] = line_reachable_rows(positions, ranges)
         else:
             raise ValueError(f"not a per-trial method: {method}")
     return verdicts
 
 
+def _dense_verdicts(spec: ExperimentSpec, headways: HeadwayVector,
+                    assignment: RangeAssignment, methods: list) -> dict:
+    # only the spectral and walk methods need the n x n matrices
+    adjacency = build_adjacency(spacing_matrix(headways), assignment)
+    if spec.direction == DIRECTION_UPWARD:
+        upward = project(adjacency, DIRECTION_UPWARD)
+    verdicts = {}
+    for method in methods:
+        if method == "laplacian":
+            graph = adjacency if spec.direction == DIRECTION_UNDIRECTED else symmetrize(upward)
+            verdicts[method] = is_connected_laplacian(laplacian(graph))
+        else:
+            graph = adjacency if spec.direction == DIRECTION_UNDIRECTED else upward
+            verdicts[method] = is_connected_exponent(graph)
+    return verdicts
+
+
 def run_trial(spec: ExperimentSpec, density_index: int, trial_index: int) -> TrialRecord:
-    """Evaluate every requested trial method on one shared realization."""
+    """Evaluate every requested trial method on one shared realization: a
+    block of one trial."""
     if not 0 <= density_index < len(spec.densities_per_km):
         raise IndexError(f"density index {density_index} outside the grid")
     if not 0 <= trial_index < spec.trials:
         raise IndexError(f"trial index {trial_index} outside 0..{spec.trials - 1}")
-    _, headways, assignment = _realization(spec, density_index, trial_index)
-    digest = hashlib.blake2b(
-        headways.gaps.tobytes() + assignment.ranges.tobytes(), digest_size=16
-    ).hexdigest()
-    verdicts = _verdicts(spec, headways, assignment, spec.trial_methods)
-    return TrialRecord(spec.densities_per_km[density_index], trial_index, verdicts, digest)
+    gaps, ranges = _realizations(spec, density_index, range(trial_index, trial_index + 1))
+    digest = hashlib.blake2b(gaps[0].tobytes() + ranges[0].tobytes(), digest_size=16).hexdigest()
+    verdicts = _verdicts(spec, gaps, ranges, spec.trial_methods)
+    return TrialRecord(spec.densities_per_km[density_index], trial_index,
+                       {m: bool(v[0]) for m, v in verdicts.items()}, digest)
 
 
 def _chunk_counts(args):
-    """Verdict-count reduction over a block of trials (process-pool unit)."""
+    """Verdict-count reduction over a chunk of trials (process-pool unit),
+    in blocks of about BLOCK_ELEMENTS vehicles."""
     spec, density_index, start, stop = args
     methods = spec.trial_methods
     pairs = list(combinations(methods, 2))
     counts = dict.fromkeys(methods, 0)
     disagreements = dict.fromkeys(pairs, 0)
-    for trial_index in range(start, stop):
-        _, headways, assignment = _realization(spec, density_index, trial_index)
-        verdicts = _verdicts(spec, headways, assignment, methods)
+    n = vehicle_count(spec.densities_per_km[density_index] / 1000.0, spec.segment_length_m)
+    rows = max(1, BLOCK_ELEMENTS // n)
+    for first in range(start, stop, rows):
+        gaps, ranges = _realizations(spec, density_index, range(first, min(first + rows, stop)))
+        verdicts = _verdicts(spec, gaps, ranges, methods)
         for m in methods:
-            counts[m] += verdicts[m]
+            counts[m] += int(np.count_nonzero(verdicts[m]))
         for a, b in pairs:
-            disagreements[(a, b)] += verdicts[a] != verdicts[b]
+            disagreements[(a, b)] += int(np.count_nonzero(verdicts[a] != verdicts[b]))
     return counts, disagreements
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of each OpenBLAS loaded in this
+    process, found through /proc/self/maps; empty where none is.  Numpy
+    loads its BLAS on import, so one scan per process (about 0.5 ms) serves
+    every later call."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in maps if "openblas" in line}
+    except OSError:
+        return ()
+    controls = []
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for name in _BLAS_SET_THREADS:
+            setter = getattr(lib, name, None)
+            getter = getattr(lib, name.replace("_set_", "_get_"), None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                controls.append((getter, setter))
+                break
+    return tuple(controls)
 
 
 def _one_blas_thread():
@@ -247,20 +309,8 @@ def _one_blas_thread():
     processes would run workers x cores threads that spin against each
     other; with 2 workers on 2 cores a Laplacian sweep took twice as long as
     with one thread per worker. Does nothing where no OpenBLAS is found."""
-    import ctypes
-
-    try:
-        with open("/proc/self/maps") as maps:
-            paths = {line.split(maxsplit=5)[-1].strip() for line in maps if "openblas" in line}
-    except OSError:
-        return
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        for name in _BLAS_SET_THREADS:
-            setter = getattr(lib, name, None)
-            if setter is not None:
-                setter(1)
-                break
+    for _, set_threads in _openblas_thread_controls():
+        set_threads(1)
 
 
 @contextmanager
@@ -268,12 +318,26 @@ def _pool(specs: tuple, workers: int):
     """One process pool for all cells of all the specs, or None when it could
     overlap nothing: cells run one after another, so a pool only overlaps the
     chunks of one cell, and with a single chunk per cell it would add only
-    start-up, pickling and IPC."""
+    start-up, pickling and IPC.
+
+    Without a pool the trials run in this process, which then uses one
+    OpenBLAS thread until the block exits, as pool workers do: at the dense
+    methods' sizes more threads only spin (an N = 100 eigvalsh took 0.6 ms
+    or 3.1 ms with default threads).  The caller's thread count is restored.
+    """
     if workers > 1 and any(spec.trials > CHUNK_SIZE for spec in specs):
         with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as executor:
             yield executor
-    else:
+        return
+    controls = _openblas_thread_controls()
+    counts = [get_threads() for get_threads, _ in controls]
+    for _, set_threads in controls:
+        set_threads(1)
+    try:
         yield None
+    finally:
+        for (_, set_threads), count in zip(controls, counts):
+            set_threads(count)
 
 
 def _count_trials(spec: ExperimentSpec, density_index: int,

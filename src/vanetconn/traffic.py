@@ -62,8 +62,7 @@ class HeadwayVector:
         gaps = np.asarray(self.gaps, dtype=np.float64)
         if gaps.ndim != 1 or gaps.size == 0:
             raise ValueError("gaps must be a non-empty 1-D array")
-        if not np.all(gaps > 0):
-            raise ValueError("all gaps must be strictly positive")
+        _check_gaps(gaps)
         object.__setattr__(self, "gaps", gaps)
 
     @property
@@ -73,21 +72,40 @@ class HeadwayVector:
     @property
     def positions(self) -> np.ndarray:
         """Cumulative vehicle positions in meters, the first vehicle at 0."""
-        return np.concatenate(([0.0], np.cumsum(self.gaps)))
+        return vehicle_positions(self.gaps)
+
+
+def _check_gaps(gaps: np.ndarray) -> None:
+    if not np.all(gaps > 0):
+        raise ValueError("all gaps must be strictly positive")
+
+
+def headway_gaps(uniforms: np.ndarray, density: float) -> np.ndarray:
+    """Exponential headways with mean 1/density from uniform draws on [0, 1).
+
+    Uses the inverse-CDF transform -ln(1 - u)/density, so the gaps are a pure
+    function of the draws, then snaps them up to SPACING_QUANTUM_M (see
+    module docstring).  Elementwise on any shape: a block of trials passes
+    one row of draws per trial.
+    """
+    raw = -np.log(1.0 - uniforms) / density
+    gaps = np.maximum(SPACING_QUANTUM_M, np.ceil(raw / SPACING_QUANTUM_M) * SPACING_QUANTUM_M)
+    _check_gaps(gaps)
+    return gaps
+
+
+def vehicle_positions(gaps: np.ndarray) -> np.ndarray:
+    """Cumulative positions along the last axis, the first vehicle at 0."""
+    positions = np.zeros(gaps.shape[:-1] + (gaps.shape[-1] + 1,))
+    np.cumsum(gaps, axis=-1, out=positions[..., 1:])
+    return positions
 
 
 def sample_headways(scenario: TrafficScenario, rng: np.random.Generator) -> HeadwayVector:
-    """Draw the scenario's exponential headways with mean 1/density.
-
-    Uses the inverse-CDF transform -ln(u)/density with u uniform on (0, 1],
-    so the sample is a pure function of the generator state.  Gaps are then
-    snapped up to SPACING_QUANTUM_M (see module docstring).
-    """
-    n = scenario.vehicle_count - 1
-    u = 1.0 - rng.random(n)  # uniform on (0, 1]
-    raw = -np.log(u) / scenario.density
-    gaps = np.maximum(SPACING_QUANTUM_M, np.ceil(raw / SPACING_QUANTUM_M) * SPACING_QUANTUM_M)
-    return HeadwayVector(gaps)
+    """Draw the scenario's exponential headways with mean 1/density: the
+    vehicle_count - 1 uniforms of one ``rng.random`` call through
+    ``headway_gaps``."""
+    return HeadwayVector(headway_gaps(rng.random(scenario.vehicle_count - 1), scenario.density))
 
 
 @dataclass(frozen=True, eq=False)

@@ -235,6 +235,20 @@ class TestMainEntry:
         assert code == 0
         assert len(read_csv(out)) == 3
 
+    @pytest.mark.parametrize("command", ["single", "sweep", "analytic", "compare"])
+    def test_verbose_only_adds_stderr_lines(self, command, tmp_path, capsys):
+        argv = [command, "--density", "8", "--policy", "fixed", "--range", "600",
+                "--trials", "12", "--method", "oracle", "--method", "chain"]
+        outputs = []
+        for name, flags in (("quiet.csv", []), ("loud.csv", ["-v"])):
+            assert cli.main(argv + ["--output", str(tmp_path / name)] + flags) == 0
+            captured = capsys.readouterr()
+            outputs.append((captured.out.replace(name, ""), captured.err))
+        (quiet_out, quiet_err), (loud_out, loud_err) = outputs
+        assert quiet_out == loud_out and quiet_err == ""
+        assert loud_err.startswith(f"{command}: fixed:R=600 methods=")
+        assert (tmp_path / "quiet.csv").read_bytes() == (tmp_path / "loud.csv").read_bytes()
+
     def test_analytic_subcommand(self, capsys):
         code = cli.main(["analytic", "--density", "10", "--policy", "fixed",
                          "--range", "1000"])

@@ -17,7 +17,9 @@ from vanetconn.connectivity import (
     is_connected_exponent,
     is_connected_laplacian,
     line_chain,
+    line_chain_rows,
     line_reachable,
+    line_reachable_rows,
     min_range_for_target,
     oracle_components,
     oracle_reachable,
@@ -205,6 +207,23 @@ class TestExponentVerdict:
     def test_full_line_graph_connected(self):
         assert is_connected_exponent(path_adjacency(6))
 
+    @pytest.mark.parametrize("policy", [FixedRange(300.0), TwoTierRange(150.0, 400.0, 0.5)],
+                             ids=["undirected", "upward"])
+    def test_row_walk_power_equals_full_power(self, policy):
+        rng = np.random.default_rng(21)
+        verdicts = set()
+        for _ in range(40):
+            _, headways, assignment = random_snapshot(
+                rng, rng.uniform(0.004, 0.02), rng.uniform(500.0, 6_000.0), policy)
+            a = build_adjacency(traffic.spacing_matrix(headways), assignment)
+            if isinstance(policy, TwoTierRange):
+                a = project(a, "upward")
+            n = a.size
+            expected = bool(bool_power_reach(a, n - 1)[0, n - 1])
+            assert is_connected_exponent(a) == expected
+            verdicts.add(expected)
+        assert verdicts == {False, True}
+
     def test_unreachable_last_vehicle(self):
         entries = np.zeros((4, 4), dtype=bool)
         entries[0, 1] = entries[1, 0] = entries[1, 2] = entries[2, 1] = True
@@ -311,6 +330,25 @@ class TestLineKernels:
         assignment = ranges.RangeAssignment(np.array([600.0, 100.0, 50.0]))
         assert line_reachable(headways, assignment)
         assert not line_chain(headways, assignment)
+
+    def test_rows_judged_alone(self):
+        # one block holding the tie, rounded-tie and bridge rows of this class
+        # and random rows: each row gets the dense route's verdict
+        rng = np.random.default_rng(14)
+        gaps = [np.array([1000.0, 750.0])] * 2 + [np.array([300.0, 200.0])]
+        ranges_ = [np.array([1000.0, 750.0, 500.0]), np.array([1000.0, 750.0 - 2.0 ** -43, 500.0]),
+                   np.array([600.0, 100.0, 50.0])]
+        for _ in range(40):
+            gaps.append(rng.uniform(100.0, 900.0, 2))
+            ranges_.append(rng.uniform(100.0, 900.0, 3))
+        positions = np.stack([traffic.HeadwayVector(g).positions for g in gaps])
+        reach_rows = line_reachable_rows(positions, np.stack(ranges_))
+        chain_rows = line_chain_rows(positions, np.stack(ranges_))
+        assert list(reach_rows[:3]) == [True, False, True]
+        for row, (g, r) in enumerate(zip(gaps, ranges_)):
+            reachable, _, chain = dense_traversal(traffic.HeadwayVector(g),
+                                                  ranges.RangeAssignment(r))
+            assert (reach_rows[row], chain_rows[row]) == (reachable, chain)
 
     def test_rejects_size_mismatch(self):
         headways = traffic.HeadwayVector(np.array([300.0, 200.0]))

@@ -15,7 +15,8 @@ from vanetconn.montecarlo import (
     sweep,
     trial_seed,
 )
-from vanetconn.ranges import FixedRange, TwoTierRange
+from vanetconn.ranges import FixedRange, TwoTierRange, UniformRange, assign_ranges
+from vanetconn.traffic import SPACING_QUANTUM_M, TrafficScenario, sample_headways
 
 GRID = (4.0, 10.0, 18.0)
 
@@ -275,3 +276,130 @@ class TestCompareMethods:
         spec = upward_spec(methods=("oracle", "chain"), trials=2 * CHUNK_SIZE + 100,
                            densities=(8.0,))
         assert compare_methods(spec, workers=1) == compare_methods(spec, workers=2)
+
+
+BLOCK_POLICIES = [
+    FixedRange(750.0),
+    TwoTierRange(500.0, 1000.0, 0.5),
+    TwoTierRange(500.0, 1000.0, 0.3, exact_count=True),
+    UniformRange(750.0, 100.0),
+    UniformRange(750.0, 100.0, (650.0, 850.0)),
+]
+BLOCK_POLICY_IDS = ["fixed", "two_tier", "two_tier_exact", "uniform", "uniform_discrete"]
+
+
+def _reference_realization(spec, density_index, trial_index):
+    """Gaps and ranges of one trial, drawn and transformed on their own with
+    no block: the reference that block rows must equal bit for bit."""
+    density = spec.densities_per_km[density_index] / 1000.0
+    n = TrafficScenario(density, spec.segment_length_m).vehicle_count
+    rng = montecarlo.trial_rng(spec.master_seed, density_index, trial_index)
+    u = 1.0 - rng.random(n - 1)
+    raw = -np.log(u) / density
+    gaps = np.maximum(SPACING_QUANTUM_M, np.ceil(raw / SPACING_QUANTUM_M) * SPACING_QUANTUM_M)
+    policy = spec.policy
+    if isinstance(policy, FixedRange):
+        ranges = np.full(n, policy.range_m)
+    elif isinstance(policy, TwoTierRange) and policy.exact_count:
+        ranges = np.full(n, policy.range_low_m)
+        ranges[rng.permutation(n)[:int(math.floor(policy.fraction_high * n + 0.5))]] = \
+            policy.range_high_m
+    elif isinstance(policy, TwoTierRange):
+        ranges = np.where(rng.random(n) < policy.fraction_high,
+                          policy.range_high_m, policy.range_low_m)
+    elif isinstance(policy.support, str):
+        low, high = policy.bounds
+        ranges = low + (high - low) * rng.random(n)
+    else:
+        ranges = np.asarray(policy.support)[rng.integers(0, len(policy.support), n)]
+    return gaps, ranges
+
+
+def _block_spec(policy, direction="upward", densities=(4.0, 10.1, 17.3), segment=10_000.0,
+                trials=150, methods=("oracle", "chain")):
+    return ExperimentSpec(densities, segment, policy, methods, direction, trials, 29)
+
+
+class TestTrialBlocks:
+    @pytest.mark.parametrize("policy", BLOCK_POLICIES, ids=BLOCK_POLICY_IDS)
+    def test_block_rows_equal_per_trial_draws(self, policy):
+        # n - 1 = 39, 100 and 172: not all multiples of 8
+        spec = _block_spec(policy)
+        for density_index, density in enumerate(spec.densities_per_km):
+            gaps, ranges = montecarlo._realizations(spec, density_index, range(3, 83))
+            scenario = TrafficScenario(density / 1000.0, spec.segment_length_m)
+            for row, trial_index in enumerate(range(3, 83)):
+                ref_gaps, ref_ranges = _reference_realization(spec, density_index, trial_index)
+                assert gaps[row].tobytes() == ref_gaps.tobytes()
+                assert ranges[row].tobytes() == ref_ranges.tobytes()
+                rng = montecarlo.trial_rng(spec.master_seed, density_index, trial_index)
+                assert sample_headways(scenario, rng).gaps.tobytes() == ref_gaps.tobytes()
+                assert assign_ranges(policy, scenario.vehicle_count, rng).ranges.tobytes() \
+                    == ref_ranges.tobytes()
+
+    @pytest.mark.parametrize("direction,policy", [("undirected", BLOCK_POLICIES[0])] + [
+        ("upward", policy) for policy in BLOCK_POLICIES
+    ], ids=["undirected_fixed"] + [f"upward_{name}" for name in BLOCK_POLICY_IDS])
+    def test_block_counts_equal_run_trial_verdicts(self, direction, policy):
+        spec = _block_spec(policy, direction)
+        for density_index in range(len(spec.densities_per_km)):
+            self._assert_counts_match_run_trial(spec, density_index)
+
+    def test_long_road_chunk_spans_several_blocks(self):
+        # 25 veh/km on 200 km is 5,000 vehicles: blocks of 3 trials
+        spec = _block_spec(UniformRange(750.0, 100.0), densities=(25.0,), segment=200_000.0,
+                           trials=11)
+        assert montecarlo.BLOCK_ELEMENTS // 5_000 == 3
+        self._assert_counts_match_run_trial(spec, 0)
+
+    def test_tie_band_rows(self, monkeypatch):
+        # gaps rounded up to 50 m make spacings equal to the 650 / 850 m
+        # levels, so rows land in the one-ulp band and take the dense fallback
+        real = montecarlo.headway_gaps
+        monkeypatch.setattr(montecarlo, "headway_gaps",
+                            lambda u, density: np.ceil(real(u, density) / 50.0) * 50.0)
+        spec = _block_spec(BLOCK_POLICIES[4], densities=(12.0,), trials=200,
+                           methods=("oracle", "chain", "laplacian"))
+        gaps, ranges = montecarlo._realizations(spec, 0, range(spec.trials))
+        positions = np.concatenate((np.zeros((spec.trials, 1)), np.cumsum(gaps, axis=1)), axis=1)
+        reach = np.maximum.accumulate(positions[:, :-1] + ranges[:, :-1], axis=1)
+        ties = (reach == positions[:, 1:]).any(axis=1)
+        assert 0 < np.count_nonzero(ties) < spec.trials
+        counts, disagreements = self._assert_counts_match_run_trial(spec, 0)
+        # the pseudo-undirected spectrum sees exactly upward reachability
+        assert disagreements[("oracle", "laplacian")] == 0
+        assert 0 < counts["oracle"] < spec.trials
+
+    @staticmethod
+    def _assert_counts_match_run_trial(spec, density_index):
+        counts, disagreements = montecarlo._chunk_counts((spec, density_index, 0, spec.trials))
+        records = [run_trial(spec, density_index, t).verdicts for t in range(spec.trials)]
+        for method in spec.trial_methods:
+            assert counts[method] == sum(r[method] for r in records)
+        for (a, b), count in disagreements.items():
+            assert count == sum(r[a] != r[b] for r in records)
+        return counts, disagreements
+
+
+class TestInProcessBlasThreads:
+    def test_in_process_sweep_pins_and_restores_blas_threads(self, monkeypatch):
+        controls = montecarlo._openblas_thread_controls()
+        original = [get_threads() for get_threads, _ in controls]
+        during = []
+        real = montecarlo._chunk_counts
+
+        def recording(args):
+            during.append(_openblas_threads())
+            return real(args)
+
+        monkeypatch.setattr(montecarlo, "_chunk_counts", recording)
+        try:
+            for _, set_threads in controls:  # a caller's count other than 1
+                set_threads(2)
+            before = _openblas_threads()
+            sweep(fixed_spec(trials=20))
+            assert during and all(count == 1 for counts in during for count in counts)
+            assert _openblas_threads() == before
+        finally:
+            for (_, set_threads), count in zip(controls, original):
+                set_threads(count)
