@@ -366,8 +366,9 @@ def _check(name, ok, detail=""):
     return ok
 
 
-def selftest(verbose: int = 0) -> int:
-    """Golden matrix checks plus small-scale cross-method equivalences."""
+def selftest() -> int:
+    """Golden three-vehicle matrices and spectra, and the exact-walk verdict
+    on every small interval pattern."""
     ok = True
     adjacency = _golden_three_vehicle()
     expected_full = np.array([[0, 1, 0], [1, 0, 0], [0, 1, 0]], dtype=bool)
@@ -417,104 +418,8 @@ def selftest(verbose: int = 0) -> int:
     ok &= _check("exact-walk verdict == chain on small one-way patterns",
                  mismatch == 0, f"{mismatch} mismatches")
 
-    # all verdict routes agree under a shared fixed range
-    rng = np.random.default_rng(7)
-    disagreements = 0
-    for _ in range(200):
-        scenario = traffic.TrafficScenario(rng.uniform(0.002, 0.02), 3000.0)
-        headways = traffic.sample_headways(scenario, rng)
-        assignment = ranges.assign_ranges(FixedRange(rng.uniform(100, 900)),
-                                          scenario.vehicle_count, rng)
-        adjacency = graphs.build_adjacency(traffic.spacing_matrix(headways), assignment)
-        spectral = connectivity.is_connected_laplacian(graphs.laplacian(adjacency))
-        exponent = connectivity.is_connected_exponent(adjacency)
-        union_find = connectivity.oracle_components(adjacency) == 1
-        if not spectral == exponent == union_find:
-            disagreements += 1
-    ok &= _check("fixed-range methods agree on 200 random snapshots",
-                 disagreements == 0, f"{disagreements} disagreements")
-
-    # the O(n) line kernels equal the dense traversal oracle and chain
-    line_rng = np.random.default_rng(11)
-    mismatch = 0
-    for policy in (FixedRange(750.0), TwoTierRange(500.0, 1000.0, 0.5),
-                   UniformRange(750.0, 100.0), UniformRange(750.0, 100.0, (650.0, 850.0))):
-        for _ in range(200):
-            scenario = traffic.TrafficScenario(line_rng.uniform(0.002, 0.025), 10_000.0)
-            headways = traffic.sample_headways(scenario, line_rng)
-            assignment = ranges.assign_ranges(policy, scenario.vehicle_count, line_rng)
-            mismatch += not _line_matches_dense(headways, assignment)
-    # x_2 - x_1 == R_1 links; half an ulp lower, x_1 + R_1 still rounds to
-    # x_2, yet x_2 - x_1 > R_1 and nothing reaches vehicle 2
-    gaps = traffic.HeadwayVector(np.array([1000.0, 750.0]))
-    exact = ranges.RangeAssignment(np.array([1000.0, 750.0, 500.0]))
-    rounded = ranges.RangeAssignment(np.array([1000.0, 750.0 - 2.0 ** -43, 500.0]))
-    tie_ok = (1000.0 + rounded.ranges[1] == 1750.0
-              and _line_matches_dense(gaps, exact) and _line_matches_dense(gaps, rounded)
-              and connectivity.line_reachable(gaps, exact)
-              and not connectivity.line_reachable(gaps, rounded))
-    ok &= _check("line kernel == dense oracle/chain on 800 random snapshots",
-                 mismatch == 0, f"{mismatch} mismatches")
-    ok &= _check("line kernel == dense oracle/chain on spacing ties", tie_ok)
-
-    # a cell's counts, judged in blocks of trials, equal the sum of its
-    # trials' verdicts, each judged alone
-    block_rng = np.random.default_rng(13)
-    mismatch = 0
-    for policy in (FixedRange(750.0), TwoTierRange(500.0, 1000.0, 0.5),
-                   TwoTierRange(500.0, 1000.0, 0.5, exact_count=True),
-                   UniformRange(750.0, 100.0), UniformRange(750.0, 100.0, (650.0, 850.0))):
-        direction = "undirected" if isinstance(policy, FixedRange) else "upward"
-        spec = ExperimentSpec((float(block_rng.uniform(2.0, 25.0)),), 10_000.0, policy,
-                              ("oracle", "chain"), direction, 150, int(block_rng.integers(1 << 32)))
-        counts = {row.method: row.connected_count for row in montecarlo.sweep(spec)}
-        for method in spec.methods:
-            mismatch += counts[method] != sum(
-                montecarlo.run_trial(spec, 0, t).verdicts[method] for t in range(spec.trials))
-    ok &= _check("block verdict counts == run_trial verdicts on one spec per policy",
-                 mismatch == 0, f"{mismatch} mismatches")
-
-    # zero-eigenvalue count equals union-find component count
-    mismatch = 0
-    for _ in range(200):
-        scenario = traffic.TrafficScenario(rng.uniform(0.001, 0.02), 4000.0)
-        headways = traffic.sample_headways(scenario, rng)
-        assignment = ranges.assign_ranges(FixedRange(rng.uniform(50, 700)),
-                                          scenario.vehicle_count, rng)
-        adjacency = graphs.build_adjacency(traffic.spacing_matrix(headways), assignment)
-        spectral = connectivity.eigenvalues_symmetric(graphs.laplacian(adjacency))
-        if connectivity.component_count(spectral) != connectivity.oracle_components(adjacency):
-            mismatch += 1
-    ok &= _check("zero-eigenvalue count == union-find components (200 snapshots)",
-                 mismatch == 0, f"{mismatch} mismatches")
-
-    # grid-aligned gaps make spacing sums exact
-    scenario = traffic.TrafficScenario(0.01, 10_000.0)
-    spacing = traffic.spacing_matrix(traffic.sample_headways(scenario, np.random.default_rng(3)))
-    s = spacing.entries
-    exact = all(
-        np.array_equal(s[:j, j + 1:], s[:j, j:j + 1] + s[j:j + 1, j + 1:])
-        for j in range(1, spacing.size - 1)
-    )
-    ok &= _check("spacing additivity is exact", exact)
-
     print("selftest:", "all checks passed" if ok else "FAILURES above")
     return 0 if ok else 1
-
-
-def _line_matches_dense(headways, assignment) -> bool:
-    """The line kernels agree with the dense route: reachability with the
-    directed search, the chain with the superdiagonal and, for one fixed
-    range, the chain with the union-find component count."""
-    full = graphs.build_adjacency(traffic.spacing_matrix(headways), assignment)
-    upward = graphs.project(full, "upward")
-    chain = connectivity.line_chain(headways, assignment)
-    if np.all(assignment.ranges == assignment.ranges[0]) \
-            and chain != (connectivity.oracle_components(full) == 1):
-        return False
-    return (chain == connectivity.consecutive_chain(upward)
-            and connectivity.line_reachable(headways, assignment)
-            == connectivity.oracle_reachable(upward, 0, upward.size - 1))
 
 
 def _interval_patterns(n: int):
@@ -691,8 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_figure)
 
     p = sub.add_parser("selftest", help="run built-in golden checks")
-    p.add_argument("-v", "--verbose", action="count", default=0)
-    p.set_defaults(handler=lambda args: selftest(args.verbose))
+    p.set_defaults(handler=lambda args: selftest())
 
     return parser
 

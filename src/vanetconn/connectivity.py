@@ -50,9 +50,13 @@ def default_zero_tolerance(n: int) -> float:
 def laplacian_zero_tolerance(lap: Laplacian) -> float:
     """Zero tolerance scaled by machine epsilon, size and the largest degree
     (the Laplacian's diagonal)."""
-    m = lap.entries
-    max_degree = max(float(m.diagonal().max()), 1.0)
-    return _ZERO_TOLERANCE_FACTOR * m.shape[0] * np.finfo(np.float64).eps * max_degree
+    return float(zero_tolerance_rows(lap.entries.diagonal()))
+
+
+def zero_tolerance_rows(degrees: np.ndarray) -> np.ndarray:
+    """``laplacian_zero_tolerance`` of each row of (..., n) vertex degrees."""
+    max_degree = np.maximum(degrees.max(axis=-1), 1.0)
+    return _ZERO_TOLERANCE_FACTOR * degrees.shape[-1] * np.finfo(np.float64).eps * max_degree
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,12 +111,12 @@ def _bool_power(entries: np.ndarray, k: int, rows=slice(None)) -> np.ndarray:
     """Rows ``rows`` of the OR-AND semiring power by repeated squaring: (i, j)
     set iff a walk of exactly k edges runs from i to j.  Each set bit of k
     folds into the kept rows only, so one row costs the squarings plus
-    vector products."""
+    vector products.  Leading axes of ``entries`` are a stack of matrices."""
     base = entries.astype(np.float32)
     result = None
     while k:
         if k & 1:
-            result = base[rows] if result is None else _bool_matmul(result, base)
+            result = base[..., rows, :] if result is None else _bool_matmul(result, base)
         k >>= 1
         if k:
             base = _bool_matmul(base, base)
@@ -132,7 +136,7 @@ def is_connected_exponent(a: Adjacency) -> bool:
     n = a.size
     if n < 2:
         raise ValueError("need at least 2 vehicles")
-    return bool(_bool_power(a.entries, n - 1, 0)[n - 1])
+    return bool(_bool_power(a.entries, n - 1, slice(0, 1))[0, n - 1])
 
 
 def oracle_components(a: Adjacency) -> int:

@@ -5,7 +5,8 @@ position and trial index through a SplitMix64-style bijective finalizer, so
 results are identical for any execution order, chunking, or process count.
 Trials of one grid point run in blocks: each trial takes its raw draws from
 its own generator into one row, then the whole block is transformed and
-judged at once, so results do not depend on the block size either.
+judged at once (the n x n methods in sub-blocks of stacked matrices), so
+results do not depend on the block size either.
 One realization (headways + ranges) feeds every requested method, which makes
 per-realization verdicts directly comparable.
 """
@@ -25,23 +26,16 @@ import numpy as np
 
 from .connectivity import (
     AnalyticModel,
+    _bool_power,
     analytic_pc,
     analytic_pc_chain_mixed,
-    is_connected_exponent,
-    is_connected_laplacian,
     line_chain_rows,
     line_reachable_rows,
+    zero_tolerance_rows,
 )
-from .graphs import DIRECTION_UPWARD, build_adjacency, laplacian, project, symmetrize
-from .ranges import FixedRange, RangeAssignment, RangeBlock, RangePolicy, mean_range, policy_label
-from .traffic import (
-    HeadwayVector,
-    TrafficScenario,
-    headway_gaps,
-    spacing_matrix,
-    vehicle_count,
-    vehicle_positions,
-)
+from .graphs import DIRECTION_UPWARD
+from .ranges import FixedRange, RangeBlock, RangePolicy, mean_range, policy_label
+from .traffic import TrafficScenario, headway_gaps, vehicle_count, vehicle_positions
 
 TRIAL_METHODS = ("laplacian", "exponent", "oracle", "chain")
 ANALYTIC_METHODS = ("analytic", "analytic-chain")
@@ -58,8 +52,9 @@ DEFAULT_SPECTRAL_TRIALS = 2_000
 # Trials per process-pool task.
 CHUNK_SIZE = 512
 
-# Vehicles per block of trials that are transformed and judged together:
-# each float64 block array stays within 128 KB.
+# Vehicles per block of trials that are transformed and judged together, and
+# matrix entries per sub-block of the dense methods: each float64 block array
+# stays within 128 KB.
 BLOCK_ELEMENTS = 2 ** 14
 
 # Largest vehicle count the dense methods accept: each n x n float64 array
@@ -209,12 +204,11 @@ def _verdicts(spec: ExperimentSpec, gaps: np.ndarray, ranges: np.ndarray,
         chain = line_chain_rows(positions, ranges)
     dense = [m for m in methods if m in ("laplacian", "exponent")]
     if dense:
-        per_row = [_dense_verdicts(spec, HeadwayVector(g), RangeAssignment(r), dense)
-                   for g, r in zip(gaps, ranges)]
+        dense_verdicts = _dense_rows(spec, positions, ranges, dense)
     verdicts = {}
     for method in methods:
         if method in dense:
-            verdicts[method] = np.array([row[method] for row in per_row])
+            verdicts[method] = dense_verdicts[method]
         elif method == "chain" or (method == "oracle" and undirected):
             verdicts[method] = chain
         elif method == "oracle":
@@ -224,20 +218,41 @@ def _verdicts(spec: ExperimentSpec, gaps: np.ndarray, ranges: np.ndarray,
     return verdicts
 
 
-def _dense_verdicts(spec: ExperimentSpec, headways: HeadwayVector,
-                    assignment: RangeAssignment, methods: list) -> dict:
-    # only the spectral and walk methods need the n x n matrices
-    adjacency = build_adjacency(spacing_matrix(headways), assignment)
-    if spec.direction == DIRECTION_UPWARD:
-        upward = project(adjacency, DIRECTION_UPWARD)
-    verdicts = {}
-    for method in methods:
-        if method == "laplacian":
-            graph = adjacency if spec.direction == DIRECTION_UNDIRECTED else symmetrize(upward)
-            verdicts[method] = is_connected_laplacian(laplacian(graph))
-        else:
-            graph = adjacency if spec.direction == DIRECTION_UNDIRECTED else upward
-            verdicts[method] = is_connected_exponent(graph)
+def _dense_rows(spec: ExperimentSpec, positions: np.ndarray, ranges: np.ndarray,
+                methods: list) -> dict:
+    """``laplacian`` / ``exponent`` verdicts of each row of (rows, n) positions
+    and ranges, judged on stacked (step, n, n) matrices of at most
+    BLOCK_ELEMENTS entries each."""
+    rows, n = positions.shape
+    verdicts = {m: np.empty(rows, dtype=bool) for m in methods}
+    step = max(1, BLOCK_ELEMENTS // n ** 2)
+    for first in range(0, rows, step):
+        x, r = positions[first:first + step], ranges[first:first + step]
+        # link i -> j iff S[i, j] <= R_i, no self-links
+        links = (np.abs(x[:, None, :] - x[:, :, None]) <= r[:, :, None]) & ~np.eye(n, dtype=bool)
+        if spec.direction == DIRECTION_UPWARD:
+            links = np.triu(links, 1)
+        if "laplacian" in methods:
+            graph = links if spec.direction == DIRECTION_UNDIRECTED else links | links.swapaxes(1, 2)
+            if not np.array_equal(graph, graph.swapaxes(1, 2)):
+                raise ValueError("adjacency is not symmetric; project and symmetrize it "
+                                 "before taking the Laplacian")
+            degrees = graph.sum(axis=2)
+            lap = -graph.astype(np.float64)
+            lap[:, np.arange(n), np.arange(n)] = degrees
+            eig = np.linalg.eigvalsh(lap)
+            tol = zero_tolerance_rows(degrees)
+            # a Laplacian is positive semidefinite with a zero eigenvalue, so
+            # each lowest eigenvalue must sit inside [-tol, tol]
+            outside = (eig[:, 0] < -tol) | (eig[:, 0] > tol)
+            if outside.any():
+                raise ValueError(f"not a Laplacian spectrum: lowest eigenvalue "
+                                 f"{eig[outside, 0][0]:.3e}")
+            verdicts["laplacian"][first:first + step] = eig[:, 1] > tol
+        if "exponent" in methods:
+            # a walk of exactly n - 1 links from the first vehicle to the last
+            walks = _bool_power(links, n - 1, slice(0, 1))
+            verdicts["exponent"][first:first + step] = walks[:, 0, n - 1]
     return verdicts
 
 
@@ -344,15 +359,14 @@ def _count_trials(spec: ExperimentSpec, density_index: int,
                   executor: Optional[ProcessPoolExecutor]):
     if not spec.trial_methods:
         return {}, {}
-    if executor is None:
-        return _chunk_counts((spec, density_index, 0, spec.trials))
     chunks = [
         (spec, density_index, start, min(start + CHUNK_SIZE, spec.trials))
         for start in range(0, spec.trials, CHUNK_SIZE)
     ]
     counts = dict.fromkeys(spec.trial_methods, 0)
     disagreements = dict.fromkeys(combinations(spec.trial_methods, 2), 0)
-    for chunk_counts, chunk_disagreements in executor.map(_chunk_counts, chunks):
+    run = executor.map if executor else map
+    for chunk_counts, chunk_disagreements in run(_chunk_counts, chunks):
         for m, c in chunk_counts.items():
             counts[m] += c
         for pair, c in chunk_disagreements.items():

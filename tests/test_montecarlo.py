@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from vanetconn import montecarlo
-from vanetconn.connectivity import AnalyticModel, analytic_pc
+from vanetconn.connectivity import (
+    AnalyticModel,
+    analytic_pc,
+    is_connected_exponent,
+    is_connected_laplacian,
+    oracle_components,
+)
+from vanetconn.graphs import build_adjacency, laplacian, project, symmetrize
 from vanetconn.montecarlo import (
     CHUNK_SIZE,
     MAX_DENSE_VEHICLES,
@@ -15,8 +22,20 @@ from vanetconn.montecarlo import (
     sweep,
     trial_seed,
 )
-from vanetconn.ranges import FixedRange, TwoTierRange, UniformRange, assign_ranges
-from vanetconn.traffic import SPACING_QUANTUM_M, TrafficScenario, sample_headways
+from vanetconn.ranges import (
+    FixedRange,
+    RangeAssignment,
+    TwoTierRange,
+    UniformRange,
+    assign_ranges,
+)
+from vanetconn.traffic import (
+    SPACING_QUANTUM_M,
+    HeadwayVector,
+    TrafficScenario,
+    sample_headways,
+    spacing_matrix,
+)
 
 GRID = (4.0, 10.0, 18.0)
 
@@ -320,6 +339,11 @@ def _block_spec(policy, direction="upward", densities=(4.0, 10.1, 17.3), segment
     return ExperimentSpec(densities, segment, policy, methods, direction, trials, 29)
 
 
+BLOCK_DIRECTIONS = [("undirected", BLOCK_POLICIES[0])] + [
+    ("upward", policy) for policy in BLOCK_POLICIES]
+BLOCK_DIRECTION_IDS = ["undirected_fixed"] + [f"upward_{name}" for name in BLOCK_POLICY_IDS]
+
+
 class TestTrialBlocks:
     @pytest.mark.parametrize("policy", BLOCK_POLICIES, ids=BLOCK_POLICY_IDS)
     def test_block_rows_equal_per_trial_draws(self, policy):
@@ -337,13 +361,59 @@ class TestTrialBlocks:
                 assert assign_ranges(policy, scenario.vehicle_count, rng).ranges.tobytes() \
                     == ref_ranges.tobytes()
 
-    @pytest.mark.parametrize("direction,policy", [("undirected", BLOCK_POLICIES[0])] + [
-        ("upward", policy) for policy in BLOCK_POLICIES
-    ], ids=["undirected_fixed"] + [f"upward_{name}" for name in BLOCK_POLICY_IDS])
+    @pytest.mark.parametrize("direction,policy", BLOCK_DIRECTIONS, ids=BLOCK_DIRECTION_IDS)
     def test_block_counts_equal_run_trial_verdicts(self, direction, policy):
         spec = _block_spec(policy, direction)
         for density_index in range(len(spec.densities_per_km)):
             self._assert_counts_match_run_trial(spec, density_index)
+
+    @pytest.mark.parametrize("direction,policy", BLOCK_DIRECTIONS, ids=BLOCK_DIRECTION_IDS)
+    def test_dense_block_verdicts_equal_single_snapshot_route(self, direction, policy):
+        # N = 20 on 4 km: a dense sub-block stacks 40 rows, so 60 trials make a
+        # full and a partial one; N = 100 and 173 on 10 km: one row each
+        assert montecarlo.BLOCK_ELEMENTS // 20 ** 2 == 40
+        outcomes = set()
+        for segment, densities in ((4_000.0, (5.0,)), (10_000.0, (10.0, 17.3))):
+            spec = _block_spec(policy, direction, densities=densities, segment=segment,
+                               trials=60, methods=("laplacian", "exponent"))
+            for density_index in range(len(densities)):
+                gaps, ranges = montecarlo._realizations(spec, density_index, range(spec.trials))
+                verdicts = montecarlo._verdicts(spec, gaps, ranges, spec.trial_methods)
+                counts, _ = montecarlo._chunk_counts((spec, density_index, 0, spec.trials))
+                for method, expected in self._single_snapshot_verdicts(
+                        direction, policy, gaps, ranges).items():
+                    assert verdicts[method].tolist() == expected
+                    assert counts[method] == sum(expected)
+                    outcomes.update(expected)
+        assert outcomes == {False, True}
+
+    @staticmethod
+    def _single_snapshot_verdicts(direction, policy, gaps, ranges):
+        """Per-row verdicts of the public one-snapshot route."""
+        reference = {"laplacian": [], "exponent": []}
+        for g, r in zip(gaps, ranges):
+            full = build_adjacency(spacing_matrix(HeadwayVector(g)), RangeAssignment(r))
+            graph = full if direction == "undirected" else project(full, "upward")
+            spectral_graph = full if direction == "undirected" else symmetrize(graph)
+            reference["laplacian"].append(is_connected_laplacian(laplacian(spectral_graph)))
+            reference["exponent"].append(is_connected_exponent(graph))
+            if isinstance(policy, FixedRange):
+                assert reference["laplacian"][-1] == reference["exponent"][-1] \
+                    == (oracle_components(full) == 1)
+        return reference
+
+    def test_dense_stage_stacks_rows_within_block_elements(self, monkeypatch):
+        shapes = []
+        real = np.linalg.eigvalsh
+
+        def recording(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        sweep(fixed_spec(methods=("laplacian",), trials=512, densities=(2.0,)))  # N = 20
+        assert any(len(shape) == 3 and shape[0] > 1 for shape in shapes)
+        assert all(math.prod(shape) <= montecarlo.BLOCK_ELEMENTS for shape in shapes)
 
     def test_long_road_chunk_spans_several_blocks(self):
         # 25 veh/km on 200 km is 5,000 vehicles: blocks of 3 trials
