@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -15,9 +16,9 @@ import numpy as np
 
 from . import connectivity, graphs, montecarlo, ranges, traffic
 from .montecarlo import (
-    ANALYTIC_METHODS,
     DEFAULT_SPECTRAL_TRIALS,
     DEFAULT_TRAVERSAL_TRIALS,
+    DENSE_METHODS,
     TRIAL_METHODS,
     VALID_METHODS,
     ExperimentSpec,
@@ -60,8 +61,9 @@ class RunConfig(ExperimentSpec):
 
 
 def _positive_number(raw, key):
-    if not isinstance(raw, (int, float)) or isinstance(raw, bool) or raw <= 0:
-        raise ConfigError(f"{key}: expected a positive number, got {raw!r}")
+    if not isinstance(raw, (int, float)) or isinstance(raw, bool) \
+            or not (math.isfinite(raw) and raw > 0):
+        raise ConfigError(f"{key}: expected a finite positive number, got {raw!r}")
     return float(raw)
 
 
@@ -219,8 +221,6 @@ def parse_config(file_config: dict | None = None, flags=None) -> RunConfig:
     direction = cfg.get("direction")
     if direction is None:
         direction = "undirected" if isinstance(policy, FixedRange) else "upward"
-    if direction not in montecarlo.DIRECTIONS:
-        raise ConfigError(f"direction: expected one of {montecarlo.DIRECTIONS}, got {direction!r}")
 
     methods = cfg.get("methods")
     if methods is None:
@@ -233,22 +233,19 @@ def parse_config(file_config: dict | None = None, flags=None) -> RunConfig:
         if method not in VALID_METHODS:
             raise ConfigError(f"methods[{i}]: unknown method {method!r}; "
                               f"valid: {sorted(VALID_METHODS)}")
+    if getattr(args, "command", None) == "analytic":  # closed forms only, no trials
+        methods = [m for m in methods if m not in TRIAL_METHODS] or ["analytic"]
 
     trials = cfg.get("trials")
     if trials is None:
-        spectral = {"laplacian", "exponent"} & set(methods)
-        trials = DEFAULT_SPECTRAL_TRIALS if spectral else DEFAULT_TRAVERSAL_TRIALS
-    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
-        raise ConfigError(f"trials: expected a positive integer, got {trials!r}")
-
-    master_seed = cfg.get("master_seed", DEFAULT_MASTER_SEED)
-    if not isinstance(master_seed, int) or isinstance(master_seed, bool):
-        raise ConfigError(f"master_seed: expected an integer, got {master_seed!r}")
+        dense = any(m in DENSE_METHODS for m in methods)
+        trials = DEFAULT_SPECTRAL_TRIALS if dense else DEFAULT_TRAVERSAL_TRIALS
 
     try:
         return RunConfig(
             densities_per_km=densities, segment_length_m=segment_length, policy=policy,
-            methods=methods, direction=direction, trials=trials, master_seed=master_seed,
+            methods=methods, direction=direction, trials=trials,
+            master_seed=cfg.get("master_seed", DEFAULT_MASTER_SEED),
             output=getattr(args, "output", None),
             workers=getattr(args, "workers", None) or 1,
         )
@@ -491,22 +488,18 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_analytic(args) -> int:
     cfg = _config(args)
-    keep = tuple(m for m in cfg.methods if m in ANALYTIC_METHODS) or ("analytic",)
-    if "analytic-chain" in keep and isinstance(cfg.policy, FixedRange):
-        keep = tuple(m for m in keep if m != "analytic-chain")
-    spec = dataclasses.replace(cfg, methods=keep, trials=1)
-    _announce("analytic", (spec,), args.verbose)
-    return _report(montecarlo.sweep(spec), cfg.output)
+    _announce("analytic", (cfg,), args.verbose)
+    return _report(montecarlo.sweep(cfg), cfg.output)
 
 
 def _cmd_figure(args) -> int:
     path = run_figure_preset(
         args.name,
-        master_seed=args.seed if args.seed is not None else DEFAULT_MASTER_SEED,
+        master_seed=args.seed,
         trials_traversal=args.trials or DEFAULT_TRAVERSAL_TRIALS,
         trials_spectral=args.trials or DEFAULT_SPECTRAL_TRIALS,
         outdir=_default_outdir(args),
-        workers=args.workers or 1,
+        workers=args.workers,
         verbose=args.verbose,
     )
     print(f"wrote {path}")
@@ -587,11 +580,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("figure", help="run a canned preset and write its CSV")
     p.add_argument("name", choices=PRESET_NAMES)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED)
     p.add_argument("--trials", type=int,
                    help="override trial count for every method class")
     p.add_argument("--output-dir", dest="output_dir")
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("-v", "--verbose", action="count", default=0)
     p.set_defaults(handler=_cmd_figure)
 

@@ -37,16 +37,6 @@ from .traffic import HeadwayVector
 _ZERO_TOLERANCE_FACTOR = 64.0
 
 
-def default_zero_tolerance(n: int) -> float:
-    """Size-only tolerance 1e-8 * n for callers that pass one explicitly.
-
-    It exceeds the connected path's algebraic connectivity (~pi^2 / n^2) from
-    N ~ 1,000 on, so the spectral routines default to
-    ``laplacian_zero_tolerance`` instead.
-    """
-    return 1e-8 * n
-
-
 def laplacian_zero_tolerance(lap: Laplacian) -> float:
     """Zero tolerance scaled by machine epsilon, size and the largest degree
     (the Laplacian's diagonal)."""
@@ -94,10 +84,10 @@ def component_count(spectral: SpectralResult) -> int:
     return int(np.count_nonzero(spectral.eigenvalues < spectral.zero_tolerance))
 
 
-def is_connected_laplacian(lap: Laplacian, zero_tolerance: float | None = None) -> bool:
+def is_connected_laplacian(lap: Laplacian) -> bool:
     """Connected iff the algebraic connectivity (second-lowest eigenvalue)
     is strictly positive."""
-    spectral = eigenvalues_symmetric(lap, zero_tolerance)
+    spectral = eigenvalues_symmetric(lap)
     return spectral.lambda2 > spectral.zero_tolerance
 
 
@@ -280,9 +270,6 @@ class AnalyticModel:
             raise ValueError(f"comm_range must be > 0, got {self.comm_range}")
         if self.vehicle_count < 2:
             raise ValueError(f"vehicle_count must be >= 2, got {self.vehicle_count}")
-
-    def cdf(self, x: float) -> float:
-        return headway_cdf(self.density, x)
 
 
 def analytic_pc(model: AnalyticModel) -> float:

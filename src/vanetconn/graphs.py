@@ -21,8 +21,6 @@ DIRECTION_DOWNWARD = "downward"
 DIRECTION_SYMMETRIZED = "symmetrized"
 DIRECTIONS = (DIRECTION_FULL, DIRECTION_UPWARD, DIRECTION_DOWNWARD, DIRECTION_SYMMETRIZED)
 
-ROW_SUM_TOL = 1e-12
-
 
 @dataclass(frozen=True, eq=False)
 class Adjacency:
@@ -47,16 +45,6 @@ class Adjacency:
     def size(self) -> int:
         return self.entries.shape[0]
 
-    def validate(self) -> None:
-        """Structural invariants of the direction tag (test/selftest hook)."""
-        e = self.entries
-        if self.direction == DIRECTION_UPWARD and np.any(np.tril(e)):
-            raise ValueError("upward adjacency must be strictly upper triangular")
-        if self.direction == DIRECTION_DOWNWARD and np.any(np.triu(e)):
-            raise ValueError("downward adjacency must be strictly lower triangular")
-        if self.direction == DIRECTION_SYMMETRIZED and not np.array_equal(e, e.T):
-            raise ValueError("symmetrized adjacency must be symmetric")
-
 
 @dataclass(frozen=True, eq=False)
 class Laplacian:
@@ -67,14 +55,6 @@ class Laplacian:
     @property
     def size(self) -> int:
         return self.entries.shape[0]
-
-    def validate(self) -> None:
-        m = self.entries
-        if np.any(np.abs(m.sum(axis=1)) > ROW_SUM_TOL):
-            raise ValueError("Laplacian row sums must vanish")
-        off = m[~np.eye(m.shape[0], dtype=bool)]
-        if not np.all((off == 0.0) | (off == -1.0)):
-            raise ValueError("off-diagonal entries must be 0 or -1")
 
 
 def build_adjacency(spacing: SpacingMatrix, ranges: RangeAssignment) -> Adjacency:

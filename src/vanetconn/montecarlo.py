@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -35,9 +36,11 @@ from .connectivity import (
 )
 from .graphs import DIRECTION_UPWARD
 from .ranges import FixedRange, RangeBlock, RangePolicy, mean_range, policy_label
-from .traffic import TrafficScenario, headway_gaps, vehicle_count, vehicle_positions
+from .traffic import check_positive, headway_gaps, vehicle_count, vehicle_positions
 
 TRIAL_METHODS = ("laplacian", "exponent", "oracle", "chain")
+# Trial methods that judge n x n matrices.
+DENSE_METHODS = ("laplacian", "exponent")
 ANALYTIC_METHODS = ("analytic", "analytic-chain")
 VALID_METHODS = TRIAL_METHODS + ANALYTIC_METHODS
 
@@ -103,12 +106,16 @@ class ExperimentSpec:
     def __post_init__(self):
         object.__setattr__(self, "densities_per_km", tuple(float(d) for d in self.densities_per_km))
         object.__setattr__(self, "methods", tuple(self.methods))
+        for name in ("trials", "master_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if not self.densities_per_km:
             raise ValueError("density grid must not be empty")
-        if any(d <= 0 for d in self.densities_per_km):
-            raise ValueError("densities must be > 0")
-        if self.segment_length_m <= 0:
-            raise ValueError(f"segment_length_m must be > 0, got {self.segment_length_m}")
+        for density in self.densities_per_km:
+            check_positive("densities_per_km", density)
+        check_positive("segment_length_m", self.segment_length_m)
         if not self.methods:
             raise ValueError("method set must not be empty")
         unknown = [m for m in self.methods if m not in VALID_METHODS]
@@ -128,7 +135,7 @@ class ExperimentSpec:
         if self.trials > 1 << 32:  # trial_seed would reuse streams
             raise ValueError(f"trials must be <= 2**32 (the seed keeps 32 bits of the "
                              f"trial index), got {self.trials}")
-        dense = [m for m in self.methods if m in ("laplacian", "exponent")]
+        dense = [m for m in self.methods if m in DENSE_METHODS]
         n = vehicle_count(max(self.densities_per_km) / 1000.0, self.segment_length_m)
         if dense and n > MAX_DENSE_VEHICLES:
             raise ValueError(f"methods {dense} build n x n arrays and are limited to "
@@ -137,10 +144,6 @@ class ExperimentSpec:
     @property
     def trial_methods(self) -> tuple:
         return tuple(m for m in self.methods if m in TRIAL_METHODS)
-
-    @property
-    def analytic_methods(self) -> tuple:
-        return tuple(m for m in self.methods if m in ANALYTIC_METHODS)
 
 
 @dataclass(frozen=True)
@@ -202,7 +205,7 @@ def _verdicts(spec: ExperimentSpec, gaps: np.ndarray, ranges: np.ndarray,
     undirected = spec.direction == DIRECTION_UNDIRECTED
     if "chain" in methods or (undirected and "oracle" in methods):
         chain = line_chain_rows(positions, ranges)
-    dense = [m for m in methods if m in ("laplacian", "exponent")]
+    dense = [m for m in methods if m in DENSE_METHODS]
     if dense:
         dense_verdicts = _dense_rows(spec, positions, ranges, dense)
     verdicts = {}
@@ -376,7 +379,7 @@ def _count_trials(spec: ExperimentSpec, density_index: int,
 
 def _analytic_estimate(spec: ExperimentSpec, density_per_km: float, method: str) -> ConnectivityEstimate:
     density_m = density_per_km / 1000.0
-    n = TrafficScenario(density_m, spec.segment_length_m).vehicle_count
+    n = vehicle_count(density_m, spec.segment_length_m)
     if method == "analytic":
         p = analytic_pc(AnalyticModel(density_m, mean_range(spec.policy), n))
     else:

@@ -13,6 +13,8 @@ from typing import Union
 
 import numpy as np
 
+from .traffic import check_positive
+
 _SQRT3 = math.sqrt(3.0)
 _MOMENT_RTOL = 1e-9
 
@@ -24,8 +26,7 @@ class FixedRange:
     range_m: float
 
     def __post_init__(self):
-        if self.range_m <= 0:
-            raise ValueError(f"range_m must be > 0, got {self.range_m}")
+        check_positive("range_m", self.range_m)
 
 
 @dataclass(frozen=True)
@@ -43,8 +44,8 @@ class TwoTierRange:
     exact_count: bool = False
 
     def __post_init__(self):
-        if self.range_low_m <= 0:
-            raise ValueError(f"range_low_m must be > 0, got {self.range_low_m}")
+        check_positive("range_low_m", self.range_low_m)
+        check_positive("range_high_m", self.range_high_m)
         if not self.range_low_m < self.range_high_m:
             raise ValueError(
                 f"range_low_m must be < range_high_m, got "
@@ -69,10 +70,8 @@ class UniformRange:
     support: Union[str, tuple] = "continuous"
 
     def __post_init__(self):
-        if self.mean_m <= 0:
-            raise ValueError(f"mean_m must be > 0, got {self.mean_m}")
-        if self.std_m <= 0:
-            raise ValueError(f"std_m must be > 0, got {self.std_m}")
+        check_positive("mean_m", self.mean_m)
+        check_positive("std_m", self.std_m)
         if isinstance(self.support, str):
             if self.support != "continuous":
                 raise ValueError(f"support must be 'continuous' or a value list, got {self.support!r}")
@@ -85,8 +84,8 @@ class UniformRange:
             values = tuple(float(v) for v in self.support)
             if len(values) < 2:
                 raise ValueError("discrete support needs at least two values")
-            if any(v <= 0 for v in values):
-                raise ValueError("discrete support values must be > 0")
+            for value in values:
+                check_positive("support value", value)
             arr = np.asarray(values)
             mean, std = float(arr.mean()), float(arr.std())
             if abs(mean - self.mean_m) > _MOMENT_RTOL * self.mean_m:

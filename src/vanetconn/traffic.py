@@ -24,6 +24,12 @@ SPACING_QUANTUM_M = 2.0 ** -26
 FREE_FLOW_MAX_DENSITY_PER_KM = 25.0
 
 
+def check_positive(name: str, value: float) -> None:
+    """Refuse a value that is not a finite number > 0, NaN included."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
+
+
 def vehicle_count(density: float, segment_length: float) -> int:
     """Vehicle count for a segment: round(density * length), floored at 2.
 
@@ -31,11 +37,12 @@ def vehicle_count(density: float, segment_length: float) -> int:
     half-up so results do not depend on the platform's default banker
     rounding.
     """
-    if density <= 0:
-        raise ValueError(f"density must be > 0, got {density}")
-    if segment_length <= 0:
-        raise ValueError(f"segment_length must be > 0, got {segment_length}")
-    return max(2, int(math.floor(density * segment_length + 0.5)))
+    check_positive("density", density)
+    check_positive("segment_length", segment_length)
+    count = density * segment_length
+    if not math.isfinite(count):
+        raise ValueError(f"vehicle count {density} * {segment_length} overflows")
+    return max(2, int(math.floor(count + 0.5)))
 
 
 @dataclass(frozen=True)
@@ -117,17 +124,6 @@ class SpacingMatrix:
     @property
     def size(self) -> int:
         return self.entries.shape[0]
-
-    def validate(self) -> None:
-        s = self.entries
-        if s.ndim != 2 or s.shape[0] != s.shape[1]:
-            raise ValueError("spacing matrix must be square")
-        if np.any(np.diagonal(s) != 0.0):
-            raise ValueError("spacing diagonal must be zero")
-        if not np.array_equal(s, s.T):
-            raise ValueError("spacing matrix must be symmetric")
-        if np.any(s < 0):
-            raise ValueError("spacings must be nonnegative")
 
 
 def spacing_matrix(headways: HeadwayVector) -> SpacingMatrix:

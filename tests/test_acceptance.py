@@ -21,7 +21,6 @@ from vanetconn.connectivity import (
     analytic_pc_chain_mixed,
     component_count,
     consecutive_chain,
-    default_zero_tolerance,
     eigenvalues_symmetric,
     is_connected_exponent,
     is_connected_laplacian,
@@ -106,8 +105,7 @@ def test_03_zero_eigenvalue_count_equals_component_count():
         assignment = ranges.assign_ranges(FixedRange(float(rng.uniform(50.0, 1500.0))),
                                           scenario.vehicle_count, rng)
         adjacency = build_adjacency(spacing_matrix(headways), assignment)
-        spectral = eigenvalues_symmetric(
-            laplacian(adjacency), default_zero_tolerance(adjacency.size))
+        spectral = eigenvalues_symmetric(laplacian(adjacency), 1e-8 * adjacency.size)
         q_spectral = component_count(spectral)
         q_union_find = oracle_components(adjacency)
         assert q_spectral == q_union_find, (

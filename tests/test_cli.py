@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 
 import pytest
@@ -210,6 +211,18 @@ class TestFigurePresets:
         assert started == [2]
         assert len(cells) == 6 * len(cli.PRESET_DENSITIES)
 
+    # SHA-256 of each preset's CSV at master seed 1 and 30 trials per method
+    # class; the same bytes for any worker count
+    @pytest.mark.parametrize("name, digest", [
+        ("fig1", "a45721c7eb0d66bba6cd9a42184792f93812c231b5f2a71c44f3e4458bc8533f"),
+        ("fig5", "e164bbdc4dbd995a14adfe0f1cf8f9892effbf071ae00b13195345175b68e01f"),
+        ("fig6", "e8090bffa4f4936ef21e9c94ee78f24ba1c4939db027ca1b41399a247b4637b1"),
+    ])
+    def test_preset_csv_digests(self, name, digest, tmp_path):
+        path = run_figure_preset(name, master_seed=1, trials_traversal=30, trials_spectral=30,
+                                 outdir=tmp_path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
     def test_preset_rerun_identical(self, tmp_path):
         a = run_figure_preset("fig6", master_seed=5, trials_traversal=2,
                               trials_spectral=2, outdir=tmp_path / "a")
@@ -271,6 +284,30 @@ class TestMainEntry:
                          "--fraction-high", "1.5"])
         assert code == 2
         assert "fraction_high" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("policy, expected", [
+        (["--policy", "fixed", "--range", "750"], {"analytic"}),
+        (["--policy", "two_tier", "--range-low", "500", "--range-high", "1000",
+          "--fraction-high", "0.5"], {"analytic", "analytic-chain"}),
+    ])
+    def test_analytic_above_dense_cap(self, policy, expected, capsys):
+        # 6,000 vehicles: the default methods include the dense ones, but the
+        # analytic subcommand drops every trial method before validation
+        code = cli.main(["analytic", "--density", "1", "--segment-length", "6000000"] + policy)
+        assert code == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert {row.split()[1] for row in rows} == expected
+
+    @pytest.mark.parametrize("argv", [
+        ["--density", "inf", "--policy", "fixed", "--range", "750"],
+        ["--density", "10", "--policy", "fixed", "--range", "nan"],
+        ["--density", "10", "--policy", "uniform", "--mean", "inf", "--std", "100"],
+        ["--density", "1e300", "--segment-length", "1e300", "--policy", "fixed",
+         "--range", "750"],
+    ])
+    def test_non_finite_numbers_are_config_errors(self, argv, capsys):
+        assert cli.main(["single", "--trials", "5", "--method", "oracle"] + argv) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_dense_method_above_cap_is_config_error(self, capsys):
         # 1 veh/km over MAX_DENSE_VEHICLES + 1 km; refused before any trial runs

@@ -11,9 +11,9 @@ from vanetconn.connectivity import (
     bool_power_reach,
     component_count,
     consecutive_chain,
-    default_zero_tolerance,
     eigenvalues_symmetric,
     expected_headway_cdf,
+    headway_cdf,
     is_connected_exponent,
     is_connected_laplacian,
     line_chain,
@@ -122,9 +122,6 @@ class TestSpectral:
         not_lap = graphs.Laplacian(np.eye(3))
         with pytest.raises(ValueError):
             eigenvalues_symmetric(not_lap)
-
-    def test_default_tolerance_scales_with_size(self):
-        assert default_zero_tolerance(100) == pytest.approx(1e-6)
 
 
 def two_cliques(n, bridged):
@@ -479,10 +476,9 @@ class TestAnalytic:
         assert np.all(np.diff(values) > 0)
 
     def test_cdf_shape(self):
-        model = AnalyticModel(0.01, 500.0, 10)
-        assert model.cdf(-5.0) == 0.0
-        assert model.cdf(0.0) == 0.0
-        assert 0.0 < model.cdf(100.0) < model.cdf(200.0) < 1.0
+        assert headway_cdf(0.01, -5.0) == 0.0
+        assert headway_cdf(0.01, 0.0) == 0.0
+        assert 0.0 < headway_cdf(0.01, 100.0) < headway_cdf(0.01, 200.0) < 1.0
 
 
 class TestChainClosedForm:

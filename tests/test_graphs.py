@@ -84,12 +84,12 @@ class TestProjectSymmetrize:
     def test_upward_projection(self, golden_adjacency):
         up = project(golden_adjacency, "upward")
         assert np.array_equal(up.entries, np.triu(GOLDEN_FULL, 1))
-        up.validate()
+        assert not np.tril(up.entries).any()  # strictly upper triangular
 
     def test_downward_projection(self, golden_adjacency):
         down = project(golden_adjacency, "downward")
         assert np.array_equal(down.entries, np.tril(GOLDEN_FULL, -1))
-        down.validate()
+        assert not np.triu(down.entries).any()  # strictly lower triangular
 
     def test_symmetric_input_projections_are_transposes(self):
         entries = np.array([[0, 1, 1], [1, 0, 0], [1, 0, 0]], dtype=bool)
@@ -143,7 +143,8 @@ class TestLaplacian:
                                                       ranges.FixedRange(500.0))
             a = build_adjacency(traffic.spacing_matrix(headways), assignment)
             lap = laplacian(a)
-            lap.validate()
+            off = lap.entries[~np.eye(lap.size, dtype=bool)]
+            assert np.all((off == 0.0) | (off == -1.0))
             assert np.all(np.abs(lap.entries.sum(axis=1)) <= 1e-12)
             assert np.array_equal(np.diagonal(lap.entries), a.entries.sum(axis=1))
 

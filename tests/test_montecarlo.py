@@ -96,6 +96,25 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="trials"):
             fixed_spec(trials=2 ** 32 + 1)
 
+    @pytest.mark.parametrize("trials, seed, field", [
+        (2.5, 1, "trials"), (True, 1, "trials"), ("10", 1, "trials"), (10, 1.5, "master_seed"),
+    ])
+    def test_rejects_non_integer_trials_and_seed(self, trials, seed, field):
+        with pytest.raises(ValueError, match=field):
+            fixed_spec(trials=trials, seed=seed)
+
+    def test_numpy_integers_run_as_ints(self):
+        spec = fixed_spec(trials=np.int64(20), seed=np.uint32(7))
+        assert spec.trials == 20 and spec.master_seed == 7
+        assert sweep(spec) == sweep(fixed_spec(trials=20, seed=7))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_grid_and_length(self, bad):
+        with pytest.raises(ValueError, match="densities_per_km"):
+            fixed_spec(densities=(5.0, bad))
+        with pytest.raises(ValueError, match="segment_length_m"):
+            fixed_spec(segment=bad)
+
     def test_dense_methods_capped_at_max_vehicles(self):
         # 1 veh/km on a road of n km holds n vehicles; construction only
         at_cap = MAX_DENSE_VEHICLES * 1000.0

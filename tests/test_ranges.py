@@ -93,6 +93,21 @@ class TestValidation:
             UniformRange(750.0, 100.0, (500.0, 1000.0))  # std is actually 250
         UniformRange(750.0, 250.0, (500.0, 1000.0))  # consistent
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_rejected(self, bad):
+        with pytest.raises(ValueError, match="range_m"):
+            FixedRange(bad)
+        with pytest.raises(ValueError, match="range_low_m"):
+            TwoTierRange(bad, 1000.0, 0.5)
+        with pytest.raises(ValueError, match="range_high_m"):
+            TwoTierRange(500.0, bad, 0.5)
+        with pytest.raises(ValueError, match="mean_m"):
+            UniformRange(bad, 100.0)
+        with pytest.raises(ValueError, match="std_m"):
+            UniformRange(750.0, bad)
+        with pytest.raises(ValueError, match="support"):
+            UniformRange(750.0, 250.0, (500.0, bad))
+
     def test_positive_ranges_only(self):
         with pytest.raises(ValueError):
             FixedRange(0.0)

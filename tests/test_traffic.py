@@ -1,9 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from vanetconn.traffic import (
     HeadwayVector,
-    SpacingMatrix,
     TrafficScenario,
     sample_headways,
     spacing_matrix,
@@ -29,6 +30,17 @@ class TestVehicleCount:
             vehicle_count(0.0, 10_000.0)
         with pytest.raises(ValueError):
             vehicle_count(0.01, -5.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="density"):
+            vehicle_count(bad, 10_000.0)
+        with pytest.raises(ValueError, match="segment_length"):
+            vehicle_count(0.01, bad)
+
+    def test_rejects_overflowing_count(self):
+        with pytest.raises(ValueError, match="overflows"):
+            vehicle_count(1e300, 1e300)
 
     def test_scenario_derives_count(self):
         s = TrafficScenario(0.010, 10_000.0)
@@ -93,9 +105,11 @@ class TestSpacingMatrix:
         assert sp.entries[0, -1] == np.sum(headways.gaps)
 
     def test_structural_invariants(self):
-        s = TrafficScenario(0.015, 8_000.0)
-        sp = spacing_matrix(sample_headways(s, np.random.default_rng(5)))
-        sp.validate()  # zero diagonal, symmetric, nonnegative
+        sc = TrafficScenario(0.015, 8_000.0)
+        s = spacing_matrix(sample_headways(sc, np.random.default_rng(5))).entries
+        assert not np.diagonal(s).any()
+        assert np.array_equal(s, s.T)
+        assert np.all(s >= 0)
 
     def test_additivity_is_exact_on_generated_instances(self):
         # S[i,k] == S[i,j] + S[j,k] bit-exactly, for every i < j < k
@@ -114,8 +128,3 @@ class TestSpacingMatrix:
         n = sp.size
         for i in range(n):
             assert np.all(upper_diffs[i, i:] > 0)
-
-    def test_validate_rejects_broken_matrices(self):
-        bad = SpacingMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]))
-        with pytest.raises(ValueError):
-            bad.validate()
