@@ -141,8 +141,10 @@ def load_config_file(path) -> dict:
     try:
         with open(path) as handle:
             raw = json.load(handle)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # JSONDecodeError, or UnicodeDecodeError on binary input
         raise ConfigError(f"config file {path}: not valid JSON ({err})") from None
+    except OSError as err:
+        raise ConfigError(f"config file {path}: {err.strerror}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path}: top level must be a JSON object")
     unknown = set(raw) - _TOP_KEYS
@@ -265,7 +267,6 @@ def emit_csv(table, path) -> Path:
     by density, then method, then policy label.  Deterministic byte-for-byte."""
     if not table:
         raise ValueError("refusing to write an empty results table")
-    path = Path(path)
     rows = sorted(table, key=lambda r: (r.density_per_km, r.method, r.policy))
     lines = [CSV_HEADER]
     for r in rows:
@@ -273,6 +274,11 @@ def emit_csv(table, path) -> Path:
             _fmt(r.density_per_km), r.method, r.policy, _fmt(r.p_hat),
             _fmt(r.stderr), str(r.trials), str(r.master_seed),
         )))
+    return _write_lines(lines, path)
+
+
+def _write_lines(lines, path) -> Path:
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
     return path
@@ -334,7 +340,10 @@ def run_figure_preset(name: str, master_seed: int = DEFAULT_MASTER_SEED,
     fig5: upward two-tier 500/1000 m mixes at five high-range fractions.
     fig6: upward uniform random ranges, means 500/750/1000 m, std 100 m.
     """
-    specs = list(_preset_specs(name, master_seed, trials_traversal, trials_spectral))
+    try:
+        specs = list(_preset_specs(name, master_seed, trials_traversal, trials_spectral))
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
     _announce(f"preset {name}", specs, verbose)
     return emit_csv(montecarlo.sweep(*specs, workers=workers), Path(outdir) / f"{name}.csv")
 
@@ -496,8 +505,8 @@ def _cmd_figure(args) -> int:
     path = run_figure_preset(
         args.name,
         master_seed=args.seed,
-        trials_traversal=args.trials or DEFAULT_TRAVERSAL_TRIALS,
-        trials_spectral=args.trials or DEFAULT_SPECTRAL_TRIALS,
+        trials_traversal=DEFAULT_TRAVERSAL_TRIALS if args.trials is None else args.trials,
+        trials_spectral=DEFAULT_SPECTRAL_TRIALS if args.trials is None else args.trials,
         outdir=_default_outdir(args),
         workers=args.workers,
         verbose=args.verbose,
@@ -524,8 +533,7 @@ def _cmd_compare(args) -> int:
         lines = ["density_per_km,method_a,method_b,disagreements,trials"]
         lines += [f"{_fmt(r.density_per_km)},{r.method_a},{r.method_b},{r.count},{r.trials}"
                   for r in report]
-        Path(cfg.output).write_text("\n".join(lines) + "\n")
-        print(f"wrote {cfg.output}")
+        print(f"wrote {_write_lines(lines, cfg.output)}")
     return 0
 
 

@@ -303,12 +303,20 @@ def expected_headway_cdf(density: float, policy: RangePolicy) -> float:
 
 def analytic_pc_chain_mixed(density: float, n: int, policy: RangePolicy) -> float:
     """Closed form for the consecutive-chain event under independent
-    per-vehicle random ranges: (E[F(R)])^(n-1)."""
+    per-vehicle random ranges: (E[F(R)])^(n-1).  Exact-count two-tier ranges
+    put k high ranges on n vehicles, and the last one's range links nothing:
+    (k/n) F_H^(k-1) F_L^(n-k) + ((n-k)/n) F_H^k F_L^(n-1-k)."""
     if isinstance(policy, FixedRange):
         raise TypeError("chain closed form is for mixed-range policies; "
                         "use analytic_pc for a fixed range")
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
+    if isinstance(policy, TwoTierRange) and policy.exact_count:
+        k = policy.high_count(n)
+        f_low = headway_cdf(density, policy.range_low_m)
+        f_high = headway_cdf(density, policy.range_high_m)
+        return (k * f_high ** max(k - 1, 0) * f_low ** (n - k)
+                + (n - k) * f_high ** k * f_low ** max(n - 1 - k, 0)) / n
     per_gap = expected_headway_cdf(density, policy)
     if per_gap <= 0.0:
         return 0.0

@@ -3,10 +3,10 @@
 Each trial derives its own generator by mixing the master seed with the grid
 position and trial index through a SplitMix64-style bijective finalizer, so
 results are identical for any execution order, chunking, or process count.
-Trials of one grid point run in blocks: each trial takes its raw draws from
-its own generator into one row, then the whole block is transformed and
-judged at once (the n x n methods in sub-blocks of stacked matrices), so
-results do not depend on the block size either.
+Trials of one grid point run in blocks: each trial draws its headway
+uniforms and its ranges from its own generator into one row, then the whole
+block is judged at once (the n x n methods in sub-blocks of stacked
+matrices), so results do not depend on the block size either.
 One realization (headways + ranges) feeds every requested method, which makes
 per-realization verdicts directly comparable.
 """
@@ -35,7 +35,7 @@ from .connectivity import (
     zero_tolerance_rows,
 )
 from .graphs import DIRECTION_UPWARD
-from .ranges import FixedRange, RangeBlock, RangePolicy, mean_range, policy_label
+from .ranges import FixedRange, RangePolicy, check_ranges, draw_ranges, mean_range, policy_label
 from .traffic import check_positive, headway_gaps, vehicle_count, vehicle_positions
 
 TRIAL_METHODS = ("laplacian", "exponent", "oracle", "chain")
@@ -185,61 +185,54 @@ class MethodDisagreement:
 def _realizations(spec: ExperimentSpec, density_index: int, trials: range):
     """Gaps (rows, n - 1) and ranges (rows, n) of one cell's trials, one row
     per trial.  Each trial draws its headway uniforms, then its ranges, from
-    its own generator; the transforms then run once on the whole block."""
+    its own generator; the headway transform runs once on the whole block."""
     density_m = spec.densities_per_km[density_index] / 1000.0
     n = vehicle_count(density_m, spec.segment_length_m)
     uniforms = np.empty((len(trials), n - 1))
-    ranges = RangeBlock(spec.policy, len(trials), n)
+    ranges = np.empty((len(trials), n))
     for row, trial_index in enumerate(trials):
         rng = trial_rng(spec.master_seed, density_index, trial_index)
         rng.random(out=uniforms[row])
-        ranges.draw(row, rng)
-    return headway_gaps(uniforms, density_m), ranges.ranges()
+        draw_ranges(spec.policy, rng, ranges[row])
+    check_ranges(ranges)
+    return headway_gaps(uniforms, density_m), ranges
 
 
 def _verdicts(spec: ExperimentSpec, gaps: np.ndarray, ranges: np.ndarray,
               methods: tuple) -> dict:
     """Per-method verdicts, a bool array with one entry per row of the block."""
     positions = vehicle_positions(gaps)
-    # undirected (one fixed range) oracle is the chain: one line_chain serves both
-    undirected = spec.direction == DIRECTION_UNDIRECTED
-    if "chain" in methods or (undirected and "oracle" in methods):
-        chain = line_chain_rows(positions, ranges)
     dense = [m for m in methods if m in DENSE_METHODS]
-    if dense:
-        dense_verdicts = _dense_rows(spec, positions, ranges, dense)
-    verdicts = {}
+    verdicts = _dense_rows(positions, ranges, dense) if dense else {}
+    # with one fixed range a spacing wider than R cuts the line in both
+    # directions, so the oracle is the chain: one line_chain serves both
+    fixed = isinstance(spec.policy, FixedRange)
+    if "chain" in methods or (fixed and "oracle" in methods):
+        chain = line_chain_rows(positions, ranges)
     for method in methods:
-        if method in dense:
-            verdicts[method] = dense_verdicts[method]
-        elif method == "chain" or (method == "oracle" and undirected):
+        if method == "chain" or (method == "oracle" and fixed):
             verdicts[method] = chain
         elif method == "oracle":
             verdicts[method] = line_reachable_rows(positions, ranges)
-        else:
+        elif method not in dense:
             raise ValueError(f"not a per-trial method: {method}")
     return verdicts
 
 
-def _dense_rows(spec: ExperimentSpec, positions: np.ndarray, ranges: np.ndarray,
-                methods: list) -> dict:
+def _dense_rows(positions: np.ndarray, ranges: np.ndarray, methods: list) -> dict:
     """``laplacian`` / ``exponent`` verdicts of each row of (rows, n) positions
     and ranges, judged on stacked (step, n, n) matrices of at most
-    BLOCK_ELEMENTS entries each."""
+    BLOCK_ELEMENTS entries each: the Laplacian of the symmetrized upward links
+    (the full graph under one fixed range), the walk power of the upward ones."""
     rows, n = positions.shape
     verdicts = {m: np.empty(rows, dtype=bool) for m in methods}
     step = max(1, BLOCK_ELEMENTS // n ** 2)
     for first in range(0, rows, step):
         x, r = positions[first:first + step], ranges[first:first + step]
-        # link i -> j iff S[i, j] <= R_i, no self-links
-        links = (np.abs(x[:, None, :] - x[:, :, None]) <= r[:, :, None]) & ~np.eye(n, dtype=bool)
-        if spec.direction == DIRECTION_UPWARD:
-            links = np.triu(links, 1)
+        # upward link i -> j iff i < j and S[i, j] = x_j - x_i <= R_i
+        links = np.triu(x[:, None, :] - x[:, :, None] <= r[:, :, None], 1)
         if "laplacian" in methods:
-            graph = links if spec.direction == DIRECTION_UNDIRECTED else links | links.swapaxes(1, 2)
-            if not np.array_equal(graph, graph.swapaxes(1, 2)):
-                raise ValueError("adjacency is not symmetric; project and symmetrize it "
-                                 "before taking the Laplacian")
+            graph = links | links.swapaxes(1, 2)
             degrees = graph.sum(axis=2)
             lap = -graph.astype(np.float64)
             lap[:, np.arange(n), np.arange(n)] = degrees

@@ -34,8 +34,8 @@ class TwoTierRange:
     """Each vehicle independently gets range_high_m with probability
     fraction_high, otherwise range_low_m.
 
-    exact_count=True instead assigns exactly round(fraction_high * n) high
-    ranges through a random permutation (a variance-reduction variant).
+    exact_count=True instead assigns exactly ``high_count(n)`` high ranges
+    through a random permutation (a variance-reduction variant).
     """
 
     range_low_m: float
@@ -53,6 +53,10 @@ class TwoTierRange:
             )
         if not 0.0 <= self.fraction_high <= 1.0:
             raise ValueError(f"fraction_high must be within [0, 1], got {self.fraction_high}")
+
+    def high_count(self, n: int) -> int:
+        """High ranges among n vehicles under exact_count: round half up."""
+        return int(math.floor(self.fraction_high * n + 0.5))
 
 
 @dataclass(frozen=True)
@@ -118,7 +122,7 @@ class RangeAssignment:
         ranges = np.asarray(self.ranges, dtype=np.float64)
         if ranges.ndim != 1 or ranges.size < 1:
             raise ValueError("ranges must be a non-empty 1-D array")
-        _check_ranges(ranges)
+        check_ranges(ranges)
         object.__setattr__(self, "ranges", ranges)
 
     @property
@@ -126,77 +130,41 @@ class RangeAssignment:
         return self.ranges.size
 
 
-def _check_ranges(ranges: np.ndarray) -> None:
+def check_ranges(ranges: np.ndarray) -> None:
     if not np.all(ranges > 0):
         raise ValueError("all ranges must be > 0")
 
 
-class RangeBlock:
-    """Ranges of n vehicles for a block of trials under one policy.
-
-    ``draw`` takes one trial's raw draws from that trial's generator into its
-    own row; ``ranges`` then transforms the whole block at once.  Row i is
-    what ``assign_ranges`` returns for the generator drawn into row i.
-    """
-
-    def __init__(self, policy: RangePolicy, rows: int, n: int):
-        if n < 2:
-            raise ValueError(f"need at least 2 vehicles, got {n}")
-        self.policy, self.rows, self.n = policy, rows, n
-        if isinstance(policy, FixedRange):
-            self.raw = None
-        elif isinstance(policy, TwoTierRange) and policy.exact_count:
-            # the vehicles that get the high range
-            n_high = int(math.floor(policy.fraction_high * n + 0.5))
-            self.raw = np.empty((rows, n_high), dtype=np.intp)
-        elif isinstance(policy, UniformRange) and not isinstance(policy.support, str):
-            self.raw = np.empty((rows, n), dtype=np.intp)  # indices into the levels
-        elif isinstance(policy, (TwoTierRange, UniformRange)):
-            self.raw = np.empty((rows, n))  # uniforms on [0, 1)
-        else:
-            raise TypeError(f"unknown range policy {policy!r}")
-
-    def draw(self, row: int, rng: np.random.Generator) -> None:
-        """Take one trial's draws: nothing, n uniforms, a permutation or n
-        level indices, as the policy needs."""
-        if self.raw is None:
-            return
-        if self.raw.dtype == np.float64:
-            rng.random(out=self.raw[row])
-        elif isinstance(self.policy, TwoTierRange):
-            self.raw[row] = rng.permutation(self.n)[:self.raw.shape[1]]
-        else:
-            self.raw[row] = rng.integers(0, len(self.policy.support), self.n)
-
-    def ranges(self) -> np.ndarray:
-        """(rows, n) ranges in meters from the draws taken so far."""
-        policy = self.policy
-        if isinstance(policy, FixedRange):
-            ranges = np.full((self.rows, self.n), policy.range_m)
-        elif isinstance(policy, TwoTierRange):
-            if policy.exact_count:
-                ranges = np.full((self.rows, self.n), policy.range_low_m)
-                np.put_along_axis(ranges, self.raw, policy.range_high_m, axis=1)
-            else:
-                # u < fraction couples assignments monotonically across
-                # fractions when the same generator state is replayed
-                ranges = np.where(self.raw < policy.fraction_high,
-                                  policy.range_high_m, policy.range_low_m)
-        elif isinstance(policy.support, str):
-            low, high = policy.bounds
-            ranges = low + (high - low) * self.raw
-        else:
-            ranges = np.asarray(policy.support)[self.raw]
-        _check_ranges(ranges)
-        return ranges
+def draw_ranges(policy: RangePolicy, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Draw one trial's ranges from its generator straight into ``out``, the
+    trial's n ranges in meters, and return it: nothing for a fixed range, else
+    n uniforms, a permutation or n level indices, as the policy needs."""
+    n = out.size
+    if isinstance(policy, FixedRange):
+        out.fill(policy.range_m)
+    elif isinstance(policy, TwoTierRange) and policy.exact_count:
+        out.fill(policy.range_low_m)
+        out[rng.permutation(n)[:policy.high_count(n)]] = policy.range_high_m
+    elif isinstance(policy, TwoTierRange):
+        # u < fraction couples assignments monotonically across fractions
+        # when the same generator state is replayed
+        out[:] = np.where(rng.random(n) < policy.fraction_high,
+                          policy.range_high_m, policy.range_low_m)
+    elif not isinstance(policy, UniformRange):
+        raise TypeError(f"unknown range policy {policy!r}")
+    elif isinstance(policy.support, str):
+        low, high = policy.bounds
+        out[:] = low + (high - low) * rng.random(n)
+    else:
+        np.take(policy.support, rng.integers(0, len(policy.support), n), out=out)
+    return out
 
 
 def assign_ranges(policy: RangePolicy, n: int, rng: np.random.Generator) -> RangeAssignment:
-    """Draw one communication range per vehicle under the given policy: a
-    ``RangeBlock`` of one trial."""
-    block = RangeBlock(policy, 1, n)
-    block.draw(0, rng)
-    return RangeAssignment(block.ranges()[0])
+    """Draw one communication range per vehicle under the given policy."""
+    if n < 2:
+        raise ValueError(f"need at least 2 vehicles, got {n}")
+    return RangeAssignment(draw_ranges(policy, rng, np.empty(n)))
 
 
 def power_proxy(assignment: RangeAssignment, path_loss_exponent: float) -> float:

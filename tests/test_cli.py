@@ -330,3 +330,33 @@ class TestMainEntry:
         code = cli.main(["figure", "fig5", "--trials", "2", "--seed", "9"])
         assert code == 0
         assert (tmp_path / "fig5.csv").exists()
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_figure_bad_trials_is_config_error(self, trials, tmp_path, capsys):
+        code = cli.main(["figure", "fig1", "--trials", trials, "--output-dir", str(tmp_path)])
+        assert code == 2
+        assert "config error: trials must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "fig1.csv").exists()
+
+    def test_compare_output_creates_directory(self, tmp_path, capsys):
+        out = tmp_path / "new" / "dir" / "c.csv"
+        code = cli.main(["compare", "--density", "10", "--policy", "fixed", "--range", "750",
+                         "--trials", "5", "--method", "oracle", "--method", "chain",
+                         "--output", str(out)])
+        assert code == 0
+        assert out.read_text() == ("density_per_km,method_a,method_b,disagreements,trials\n"
+                                   "10,oracle,chain,0,5\n")
+
+    @pytest.mark.parametrize("name, reason", [("missing.json", "No such file"),
+                                              (".", "Is a directory")])
+    def test_unreadable_config_is_config_error(self, name, reason, tmp_path, capsys):
+        path = tmp_path / name
+        assert cli.main(["sweep", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config file {path}: {reason}")
+
+    def test_binary_config_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_bytes(b"\xff\xfe\x00")
+        assert cli.main(["sweep", "--config", str(path)]) == 2
+        assert f"config error: config file {path}: not valid JSON" in capsys.readouterr().err

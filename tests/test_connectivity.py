@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -524,6 +525,19 @@ class TestChainClosedForm:
         expected = CHAIN_2TIER_50_50
         stderr = math.sqrt(expected * (1 - expected) / trials)
         assert abs(p_hat - expected) <= 4 * stderr
+
+    @pytest.mark.parametrize("fraction,high", [(1 / 3, 2), (0.5, 3), (0.0, 0), (1.0, 6)])
+    def test_exact_count_averages_every_high_subset(self, fraction, high):
+        # every set of `high` seats among n is equally likely; the chain needs
+        # each of the first n - 1 gaps within its transmitter's range
+        rho, n = 0.002, 6
+        policy = TwoTierRange(500.0, 1000.0, fraction, exact_count=True)
+        assert policy.high_count(n) == high
+        cdf = {False: headway_cdf(rho, 500.0), True: headway_cdf(rho, 1000.0)}
+        seatings = list(itertools.combinations(range(n), high))
+        expected = sum(math.prod(cdf[i in seats] for i in range(n - 1))
+                       for seats in seatings) / len(seatings)
+        assert analytic_pc_chain_mixed(rho, n, policy) == pytest.approx(expected, rel=1e-12)
 
     def test_rejects_fixed_policy(self):
         with pytest.raises(TypeError):
