@@ -56,15 +56,22 @@ class RunConfig(ExperimentSpec):
     output: str | None = None
     workers: int = 1
 
+    def __post_init__(self):
+        super().__post_init__()
+        montecarlo.check_workers(self.workers)
+
 
 # --- config assembly ---------------------------------------------------------
 
 
 def _positive_number(raw, key):
-    if not isinstance(raw, (int, float)) or isinstance(raw, bool) \
-            or not (math.isfinite(raw) and raw > 0):
+    try:
+        value = float(raw) if isinstance(raw, (int, float)) and not isinstance(raw, bool) else 0.0
+    except OverflowError:  # an integer of hundreds of digits
+        raise ConfigError(f"{key}: {len(str(abs(raw)))}-digit number overflows a float") from None
+    if not (math.isfinite(value) and value > 0):
         raise ConfigError(f"{key}: expected a finite positive number, got {raw!r}")
-    return float(raw)
+    return value
 
 
 def _densities_from_raw(raw, key="densities_per_km"):
@@ -123,7 +130,7 @@ def _policy_from_raw(raw, key="range_policy"):
             )
         support = raw.get("support", "continuous")
         if not isinstance(support, str):
-            support = tuple(float(v) for v in support)
+            support = [_positive_number(v, f"{key}.support[{i}]") for i, v in enumerate(support)]
         return UniformRange(
             mean_m=_positive_number(raw["mean_m"], f"{key}.mean_m"),
             std_m=_positive_number(raw["std_m"], f"{key}.std_m"),
@@ -249,7 +256,7 @@ def parse_config(file_config: dict | None = None, flags=None) -> RunConfig:
             methods=methods, direction=direction, trials=trials,
             master_seed=cfg.get("master_seed", DEFAULT_MASTER_SEED),
             output=getattr(args, "output", None),
-            workers=getattr(args, "workers", None) or 1,
+            workers=1 if getattr(args, "workers", None) is None else args.workers,
         )
     except ValueError as err:
         raise ConfigError(str(err)) from None
@@ -341,6 +348,7 @@ def run_figure_preset(name: str, master_seed: int = DEFAULT_MASTER_SEED,
     fig6: upward uniform random ranges, means 500/750/1000 m, std 100 m.
     """
     try:
+        montecarlo.check_workers(workers)
         specs = list(_preset_specs(name, master_seed, trials_traversal, trials_spectral))
     except ValueError as err:
         raise ConfigError(str(err)) from None

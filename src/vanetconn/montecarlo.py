@@ -3,10 +3,10 @@
 Each trial derives its own generator by mixing the master seed with the grid
 position and trial index through a SplitMix64-style bijective finalizer, so
 results are identical for any execution order, chunking, or process count.
-Trials of one grid point run in blocks: each trial draws its headway
-uniforms and its ranges from its own generator into one row, then the whole
-block is judged at once (the n x n methods in sub-blocks of stacked
-matrices), so results do not depend on the block size either.
+Trials of one grid point run in blocks: the block's seeds are hashed at once,
+each trial draws its headway uniforms and ranges into one row from its own
+PCG64 stream (trial_rng's), and the block is judged at once (the n x n methods
+in sub-blocks of stacked matrices), so results do not depend on block size.
 One realization (headways + ranges) feeds every requested method, which makes
 per-realization verdicts directly comparable.
 """
@@ -17,6 +17,7 @@ import functools
 import hashlib
 import math
 import numbers
+import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -72,8 +73,18 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
-def _mix64(x: int) -> int:
-    """SplitMix64 finalizer; bijective on 64-bit integers."""
+# numpy's SeedSequence hash (pool of 4 words) xors in a running 32-bit constant,
+# multiplies it by a factor and multiplies by the result.  Row k is init * factor**k:
+# 4 pool-word hashes and 12 cross-mixes (each word into the 3 others), 8 outputs.
+_HASH_A, _HASH_B = (
+    np.array([[init * pow(factor, k, 1 << 32) % (1 << 32)] for k in range(count)], np.uint32)
+    for init, factor, count in ((0x43B0D7E5, 0x931E8875, 17), (0x8B51F9DD, 0x58F38DED, 9)))
+_OTHER_WORDS = tuple(np.array([d for d in range(4) if d != src]) for src in range(4))
+
+
+def _mix64(x):
+    """SplitMix64 finalizer; bijective on 64-bit integers (ints or uint64
+    arrays, which wrap silently)."""
     x &= _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -88,6 +99,42 @@ def trial_seed(master_seed: int, grid_index: int, trial_index: int) -> int:
 
 def trial_rng(master_seed: int, grid_index: int, trial_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(trial_seed(master_seed, grid_index, trial_index)))
+
+
+def _hashmix(values: np.ndarray, constants: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of uint32 values (which wrap mod 2**32 like it)."""
+    values = (values ^ constants[:-1]) * constants[1:]
+    return values ^ (values >> 16)
+
+
+def _seed_words(master_seed: int, grid_index: int, trials: range) -> np.ndarray:
+    """(rows, 4) uint64 seed words of a block: row t, for t in trials, equals
+    SeedSequence(trial_seed(master_seed, grid_index, t)).generate_state(4, np.uint64)."""
+    trial_index = np.arange(trials.start, trials.stop, dtype=np.uint64)
+    counter = ((grid_index & 0xFFFFFFFF) << 32) | (trial_index & 0xFFFFFFFF)
+    seed = _mix64((master_seed & _MASK64) + _GOLDEN * (counter + 1))
+    # numpy hashes the seed's words (lo, hi) and 0 for each missing pool word
+    pool = np.zeros((4, len(seed)), dtype=np.uint32)
+    pool[0], pool[1] = seed.astype(np.uint32), (seed >> 32).astype(np.uint32)
+    pool = _hashmix(pool, _HASH_A[:5])
+    for src, dst in enumerate(_OTHER_WORDS):
+        hashed = _hashmix(pool[src], _HASH_A[4 + 3 * src:8 + 3 * src])
+        mixed = 0xCA01F9DD * pool[dst] - 0x4973F715 * hashed
+        pool[dst] = mixed ^ (mixed >> 16)
+    out = _hashmix(np.vstack((pool, pool)), _HASH_B).astype(np.uint64)
+    return np.ascontiguousarray((out[0::2] | (out[1::2] << 32)).T)
+
+
+class _SeedWords:
+    """The four uint64 words that numpy's SeedSequence would give PCG64: a
+    numpy ISeedSequence, registered as one on first use, so that importing
+    this module does not import numpy.random (about 14 ms)."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
 
 
 @dataclass(frozen=True)
@@ -185,13 +232,14 @@ class MethodDisagreement:
 def _realizations(spec: ExperimentSpec, density_index: int, trials: range):
     """Gaps (rows, n - 1) and ranges (rows, n) of one cell's trials, one row
     per trial.  Each trial draws its headway uniforms, then its ranges, from
-    its own generator; the headway transform runs once on the whole block."""
+    trial_rng's stream; seeding and the headway transform run once per block."""
     density_m = spec.densities_per_km[density_index] / 1000.0
     n = vehicle_count(density_m, spec.segment_length_m)
     uniforms = np.empty((len(trials), n - 1))
     ranges = np.empty((len(trials), n))
-    for row, trial_index in enumerate(trials):
-        rng = trial_rng(spec.master_seed, density_index, trial_index)
+    np.random.bit_generator.ISeedSequence.register(_SeedWords)  # no-op after the first call
+    for row, words in enumerate(_seed_words(spec.master_seed, density_index, trials)):
+        rng = np.random.Generator(np.random.PCG64(_SeedWords(words)))
         rng.random(out=uniforms[row])
         draw_ranges(spec.policy, rng, ranges[row])
     check_ranges(ranges)
@@ -324,20 +372,30 @@ def _one_blas_thread():
         set_threads(1)
 
 
+def check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+
+
 @contextmanager
 def _pool(specs: tuple, workers: int):
     """One process pool for all cells of all the specs, or None when it could
     overlap nothing: cells run one after another, so a pool only overlaps the
     chunks of one cell, and with a single chunk per cell it would add only
-    start-up, pickling and IPC.
+    start-up, pickling and IPC.  It forks all its processes at once, so it
+    gets no more than a cell has chunks and this process has CPUs.
 
     Without a pool the trials run in this process, which then uses one
     OpenBLAS thread until the block exits, as pool workers do: at the dense
     methods' sizes more threads only spin (an N = 100 eigvalsh took 0.6 ms
     or 3.1 ms with default threads).  The caller's thread count is restored.
     """
-    if workers > 1 and any(spec.trials > CHUNK_SIZE for spec in specs):
-        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as executor:
+    check_workers(workers)
+    chunks = max((math.ceil(s.trials / CHUNK_SIZE) for s in specs if s.trial_methods), default=0)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    processes = min(workers, chunks, cpus or 1)
+    if processes > 1:
+        with ProcessPoolExecutor(max_workers=processes, initializer=_one_blas_thread) as executor:
             yield executor
         return
     controls = _openblas_thread_controls()

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from vanetconn import cli, ranges, traffic
@@ -16,3 +18,9 @@ def random_snapshot(rng, density_m, segment_m, policy):
     headways = traffic.sample_headways(scenario, rng)
     assignment = ranges.assign_ranges(policy, scenario.vehicle_count, rng)
     return scenario, headways, assignment
+
+
+def set_usable_cpus(monkeypatch, count):
+    """Make this process see `count` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)

@@ -17,6 +17,8 @@ from vanetconn.cli import (
 from vanetconn.montecarlo import ConnectivityEstimate, ExperimentSpec, sweep
 from vanetconn.ranges import FixedRange, UniformRange
 
+from conftest import set_usable_cpus
+
 
 def flags(**kwargs):
     return argparse.Namespace(**kwargs)
@@ -205,6 +207,7 @@ class TestFigurePresets:
                     yield fn((spec, density_index, start, start))
 
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", StandInPool)
+        set_usable_cpus(monkeypatch, 2)
         trials = montecarlo.CHUNK_SIZE + 1
         run_figure_preset("fig1", trials_traversal=trials, trials_spectral=trials,
                           outdir=tmp_path, workers=2)
@@ -354,6 +357,31 @@ class TestMainEntry:
         assert cli.main(["sweep", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: config file {path}: {reason}")
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    @pytest.mark.parametrize("command", [
+        ["sweep", "--density", "10", "--policy", "fixed", "--range", "750", "--trials", "5",
+         "--method", "oracle", "--output"],
+        ["figure", "fig1", "--trials", "5", "--output-dir"],
+    ])
+    def test_workers_below_one_is_config_error(self, command, workers, tmp_path, capsys):
+        code = cli.main(command + [str(tmp_path / "out"), "--workers", workers])
+        assert code == 2
+        assert f"config error: workers must be >= 1, got {workers}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("key, override", [
+        ("range_policy.range_m", {"range_policy": {"type": "fixed", "range_m": 10 ** 400}}),
+        ("range_policy.support[1]", {"range_policy": {"type": "uniform", "mean_m": 750,
+                                                      "std_m": 100, "support": [650, 10 ** 400]}}),
+        ("segment_length_m", {"segment_length_m": -10 ** 400}),
+    ])
+    def test_number_beyond_float_range_is_config_error(self, key, override, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(dict(MINIMAL, **override)))
+        assert cli.main(["sweep", "--config", str(path), "--trials", "5"]) == 2
+        assert f"config error: {key}: 401-digit number overflows a float" \
+            in capsys.readouterr().err
 
     def test_binary_config_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "run.json"

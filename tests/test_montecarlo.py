@@ -37,6 +37,8 @@ from vanetconn.traffic import (
     spacing_matrix,
 )
 
+from conftest import set_usable_cpus
+
 GRID = (4.0, 10.0, 18.0)
 
 
@@ -138,6 +140,17 @@ class TestSeeding:
 
     def test_master_seed_changes_stream(self):
         assert trial_seed(1, 0, 0) != trial_seed(2, 0, 0)
+
+    @pytest.mark.parametrize("master_seed", [0, 1, -5, 2 ** 32 - 1, 2 ** 32, 2 ** 63,
+                                             2 ** 64 - 1, 2 ** 70, 12_345_678_901_234_567])
+    def test_block_seed_words_equal_seed_sequence(self, master_seed):
+        for grid_index in (0, 1, 7, 2 ** 32 - 1, 2 ** 32, 2 ** 33 + 5):
+            for trials in (range(0, 6), range(1000, 1003), range(2 ** 32 - 5, 2 ** 32)):
+                words = montecarlo._seed_words(master_seed, grid_index, trials)
+                assert words.dtype == np.uint64 and words.shape == (len(trials), 4)
+                for row, t in enumerate(trials):
+                    sequence = np.random.SeedSequence(trial_seed(master_seed, grid_index, t))
+                    assert words[row].tolist() == sequence.generate_state(4, np.uint64).tolist()
 
 
 class TestRunTrial:
@@ -259,16 +272,55 @@ class TestSweep:
                             densities=(8.0,))
         expected = sweep(spec_a) + sweep(spec_b)
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", counting_pool)
+        set_usable_cpus(monkeypatch, 2)
         assert sweep(spec_a, spec_b, workers=2) == expected
         assert [kwargs["max_workers"] for kwargs in started] == [2]
 
-    def test_pool_workers_run_one_blas_thread(self):
+    def test_pool_workers_run_one_blas_thread(self, monkeypatch):
+        set_usable_cpus(monkeypatch, 2)
         before = _openblas_threads()
         spec = fixed_spec(trials=CHUNK_SIZE + 1)
         with montecarlo._pool((spec,), workers=2) as executor:
             per_worker = list(executor.map(_openblas_threads, range(4)))
         assert all(count == 1 for counts in per_worker for count in counts)
         assert _openblas_threads() == before
+
+    @pytest.mark.parametrize("workers, cpus, methods, trials, expected", [
+        (64, 8, ("oracle",), 2 * CHUNK_SIZE + 1, 3),  # three chunks in the largest cell
+        (64, 2, ("oracle",), 10 * CHUNK_SIZE, 2),  # two usable CPUs
+        (4, 8, ("oracle",), 10 * CHUNK_SIZE, 4),
+        (3, 1, ("oracle",), 10 * CHUNK_SIZE, None),
+        (4, 8, ("analytic",), 10 * CHUNK_SIZE, None),  # no trials to run
+    ])
+    def test_pool_forks_no_more_processes_than_it_can_use(self, workers, cpus, methods, trials,
+                                                          expected, monkeypatch):
+        started = []
+
+        class StandInPool:
+            def __init__(self, max_workers, initializer=None):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", StandInPool)
+        set_usable_cpus(monkeypatch, cpus)
+        specs = (fixed_spec(methods=methods, trials=trials), fixed_spec(trials=CHUNK_SIZE))
+        with montecarlo._pool(specs, workers) as executor:
+            assert (executor is None) == (expected is None)
+        assert started == ([] if expected is None else [expected])
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_refused(self, workers):
+        spec = fixed_spec(methods=("oracle", "chain"), trials=5, densities=(8.0,))
+        for run in (lambda: sweep(spec, workers=workers),
+                    lambda: estimate(spec, 0, workers=workers),
+                    lambda: compare_methods(spec, workers=workers)):
+            with pytest.raises(ValueError, match="workers must be >= 1"):
+                run()
 
     def test_rows_cover_grid_times_methods(self):
         spec = fixed_spec(methods=("oracle", "analytic"), trials=20)
@@ -379,6 +431,17 @@ class TestTrialBlocks:
                 assert sample_headways(scenario, rng).gaps.tobytes() == ref_gaps.tobytes()
                 assert assign_ranges(policy, scenario.vehicle_count, rng).ranges.tobytes() \
                     == ref_ranges.tobytes()
+
+    @pytest.mark.parametrize("policy", BLOCK_POLICIES, ids=BLOCK_POLICY_IDS)
+    def test_block_at_last_trial_indices_equals_trial_rng(self, policy):
+        # the seed keeps 32 bits of the trial index: the block ends at 2**32 - 1
+        spec = _block_spec(policy, trials=2 ** 32)
+        trials = range(2 ** 32 - 40, 2 ** 32)
+        gaps, ranges = montecarlo._realizations(spec, 1, trials)
+        for row, trial_index in enumerate(trials):
+            ref_gaps, ref_ranges = _reference_realization(spec, 1, trial_index)
+            assert gaps[row].tobytes() == ref_gaps.tobytes()
+            assert ranges[row].tobytes() == ref_ranges.tobytes()
 
     @pytest.mark.parametrize("direction,policy", BLOCK_DIRECTIONS, ids=BLOCK_DIRECTION_IDS)
     def test_block_counts_equal_run_trial_verdicts(self, direction, policy):
