@@ -118,19 +118,22 @@ def _policy_from_raw(raw, key="range_policy"):
         if kind == "fixed":
             return FixedRange(range_m=_positive_number(raw["range_m"], f"{key}.range_m"))
         if kind == "two_tier":
-            fraction = raw["fraction_high"]
+            fraction, exact = raw["fraction_high"], raw.get("exact_count", False)
             if not isinstance(fraction, (int, float)) or isinstance(fraction, bool) \
                     or not 0.0 <= fraction <= 1.0:
                 raise ConfigError(f"{key}.fraction_high: must be within [0, 1], got {fraction!r}")
+            if not isinstance(exact, bool):
+                raise ConfigError(f"{key}.exact_count: expected true or false, got {exact!r}")
             return TwoTierRange(
                 range_low_m=_positive_number(raw["range_low_m"], f"{key}.range_low_m"),
                 range_high_m=_positive_number(raw["range_high_m"], f"{key}.range_high_m"),
-                fraction_high=float(fraction),
-                exact_count=bool(raw.get("exact_count", False)),
+                fraction_high=float(fraction), exact_count=exact,
             )
         support = raw.get("support", "continuous")
-        if not isinstance(support, str):
+        if isinstance(support, (list, tuple)):
             support = [_positive_number(v, f"{key}.support[{i}]") for i, v in enumerate(support)]
+        elif not isinstance(support, str):
+            raise ConfigError(f"{key}.support: expected a list or 'continuous', got {support!r}")
         return UniformRange(
             mean_m=_positive_number(raw["mean_m"], f"{key}.mean_m"),
             std_m=_positive_number(raw["std_m"], f"{key}.std_m"),
@@ -286,8 +289,11 @@ def emit_csv(table, path) -> Path:
 
 def _write_lines(lines, path) -> Path:
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("\n".join(lines) + "\n")
+    except OSError as err:  # a directory, a missing permission
+        raise ConfigError(f"output {path}: {err.strerror}") from None
     return path
 
 

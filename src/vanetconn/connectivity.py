@@ -2,7 +2,9 @@
 
 Four independent routes are provided on purpose so they can check each other:
 
-* spectral: count of near-zero Laplacian eigenvalues / algebraic connectivity,
+* spectral: count of near-zero Laplacian eigenvalues / algebraic connectivity
+  (here from the full spectrum; the Monte-Carlo run path tests lambda_2 > tol
+  by inertia, one Cholesky factorization per snapshot),
 * adjacency power: existence of an exact-length walk between the end vehicles,
 * traversal oracles: union-find component count and directed breadth-first
   reachability,

@@ -388,3 +388,25 @@ class TestMainEntry:
         path.write_bytes(b"\xff\xfe\x00")
         assert cli.main(["sweep", "--config", str(path)]) == 2
         assert f"config error: config file {path}: not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("policy, key", [
+        ({"type": "two_tier", "range_low_m": 500, "range_high_m": 1000,
+          "fraction_high": 0.5, "exact_count": "no"}, "range_policy.exact_count"),
+        ({"type": "uniform", "mean_m": 750, "std_m": 100, "support": 5},
+         "range_policy.support"),
+    ])
+    def test_wrong_typed_policy_value_is_config_error(self, policy, key, tmp_path, capsys):
+        # a JSON string is not a boolean, and a number is not a list of levels
+        path, out = tmp_path / "run.json", tmp_path / "out.csv"
+        path.write_text(json.dumps(dict(MINIMAL, range_policy=policy, trials=5,
+                                        methods=["chain"])))
+        assert cli.main(["sweep", "--config", str(path), "--output", str(out)]) == 2
+        assert f"config error: {key}:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_output_directory_is_config_error(self, tmp_path, capsys):
+        code = cli.main(["sweep", "--density", "8", "--policy", "fixed", "--range", "600",
+                         "--trials", "5", "--method", "oracle", "--output", str(tmp_path)])
+        assert code == 2
+        assert f"config error: output {tmp_path}:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []

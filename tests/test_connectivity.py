@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from vanetconn import cli, graphs, ranges, traffic
+from vanetconn import cli, graphs, montecarlo, ranges, traffic
 from vanetconn.connectivity import (
     AnalyticModel,
     analytic_pc,
@@ -149,6 +149,39 @@ class TestZeroToleranceAtLargeN:
         components = oracle_components(a)
         assert component_count(eigenvalues_symmetric(lap)) == components
         assert is_connected_laplacian(lap) == (components == 1)
+
+
+def line_shape(n, graph):
+    """Positions and ranges on a line whose symmetrized upward links form
+    ``graph``, and that graph's adjacency."""
+    half = n // 2
+    index = np.arange(n, dtype=np.float64)
+    if graph in ("path", "cut_path"):
+        a = path_adjacency(n)
+        if graph == "cut_path":  # one spacing of 2 m that no 1 m range spans
+            a.entries[half - 1, half] = a.entries[half, half - 1] = False
+        return index + (index >= half) * (graph == "cut_path"), np.ones(n), a
+    # halves n + 1 m apart; each vehicle reaches the end of its own half
+    positions = index + n * (index >= half)
+    ranges = np.where(index < half, half - 1 - index, n - 1 - index) + 0.5
+    if graph == "bridged_cliques":  # exactly the first vehicle of the far half
+        ranges[half - 1] = n + 1.0
+    return positions, ranges, two_cliques(n, bridged=graph == "bridged_cliques")
+
+
+class TestInertiaAtLargeN:
+    # a disconnected snapshot puts the shifted Laplacian's lowest eigenvalue
+    # near -tol, where the stacked Cholesky of the run path must still fail
+    @pytest.mark.parametrize("n", [1000, 2000])
+    @pytest.mark.parametrize("graph", ["path", "cut_path", "bridged_cliques", "split_cliques"])
+    def test_dense_rows_verdict_matches_union_find(self, n, graph):
+        x, r, a = line_shape(n, graph)
+        upward = project(build_adjacency(
+            traffic.spacing_matrix(traffic.HeadwayVector(np.diff(x))),
+            ranges.RangeAssignment(r)), "upward")
+        assert np.array_equal(symmetrize(upward).entries, a.entries)
+        verdicts = montecarlo._dense_rows(x[None], r[None], ["laplacian"])
+        assert verdicts["laplacian"].tolist() == [oracle_components(a) == 1]
 
 
 class TestBoolPower:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -452,10 +453,11 @@ class TestTrialBlocks:
     @pytest.mark.parametrize("direction,policy", BLOCK_DIRECTIONS, ids=BLOCK_DIRECTION_IDS)
     def test_dense_block_verdicts_equal_single_snapshot_route(self, direction, policy):
         # N = 20 on 4 km: a dense sub-block stacks 40 rows, so 60 trials make a
-        # full and a partial one; N = 100 and 173 on 10 km: one row each
+        # full and a partial one; N = 100, 173 and 250 on 10 km: one row each.
+        # The run path factors, the single-snapshot route takes the spectrum.
         assert montecarlo.BLOCK_ELEMENTS // 20 ** 2 == 40
         outcomes = set()
-        for segment, densities in ((4_000.0, (5.0,)), (10_000.0, (10.0, 17.3))):
+        for segment, densities in ((4_000.0, (5.0,)), (10_000.0, (10.0, 17.3, 25.0))):
             spec = _block_spec(policy, direction, densities=densities, segment=segment,
                                trials=60, methods=("laplacian", "exponent"))
             for density_index in range(len(densities)):
@@ -486,13 +488,13 @@ class TestTrialBlocks:
 
     def test_dense_stage_stacks_rows_within_block_elements(self, monkeypatch):
         shapes = []
-        real = np.linalg.eigvalsh
+        real = montecarlo._umath_linalg.cholesky_lo
 
         def recording(a, *args, **kwargs):
             shapes.append(a.shape)
             return real(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        monkeypatch.setattr(montecarlo._umath_linalg, "cholesky_lo", recording)
         sweep(fixed_spec(methods=("laplacian",), trials=512, densities=(2.0,)))  # N = 20
         assert any(len(shape) == 3 and shape[0] > 1 for shape in shapes)
         assert all(math.prod(shape) <= montecarlo.BLOCK_ELEMENTS for shape in shapes)
@@ -521,6 +523,10 @@ class TestTrialBlocks:
         # the pseudo-undirected spectrum sees exactly upward reachability
         assert disagreements[("oracle", "laplacian")] == 0
         assert 0 < counts["oracle"] < spec.trials
+        # and the run path's factorization agrees with it row by row
+        rows = montecarlo._dense_rows(positions, ranges, ["laplacian"])["laplacian"]
+        expected = self._single_snapshot_verdicts("upward", spec.policy, gaps, ranges)
+        assert rows.tolist() == expected["laplacian"]
 
     @staticmethod
     def _assert_counts_match_run_trial(spec, density_index):
@@ -531,6 +537,23 @@ class TestTrialBlocks:
         for (a, b), count in disagreements.items():
             assert count == sum(r[a] != r[b] for r in records)
         return counts, disagreements
+
+
+def test_stacked_cholesky_leaves_nan_in_failed_matrix_only():
+    # the run path's laplacian verdict relies on numpy's private gufunc:
+    # a stack with a matrix that is not positive definite neither raises nor
+    # warns under errstate(invalid="ignore"), and only that matrix is NaN
+    definite = np.array([[4.0, 2.0, 0.0], [2.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
+    singular = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(invalid="ignore"):
+            factor = montecarlo._umath_linalg.cholesky_lo(
+                np.stack((definite, singular, definite)), signature="d->d")
+    assert np.isnan(factor[1]).all()
+    assert not np.isnan(factor[[0, 2]]).any()
+    assert np.allclose(factor[0], np.linalg.cholesky(definite))
+    assert np.array_equal(factor[0], factor[2])
 
 
 class TestInProcessBlasThreads:
