@@ -7,7 +7,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -24,6 +23,7 @@ from .montecarlo import (
     ExperimentSpec,
 )
 from .ranges import FixedRange, TwoTierRange, UniformRange
+from .traffic import check_positive
 
 CSV_HEADER = "density_per_km,method,range_policy,p_hat,stderr,trials,master_seed"
 OUTPUT_DIR_ENV = "VANETCONN_OUTPUT_DIR"
@@ -37,11 +37,7 @@ _TOP_KEYS = {
     "segment_length_m", "densities_per_km", "trials", "master_seed",
     "direction", "methods", "range_policy",
 }
-_POLICY_KEYS = {
-    "fixed": {"type", "range_m"},
-    "two_tier": {"type", "range_low_m", "range_high_m", "fraction_high", "exact_count"},
-    "uniform": {"type", "mean_m", "std_m", "support"},
-}
+_POLICY_TYPES = {"fixed": FixedRange, "two_tier": TwoTierRange, "uniform": UniformRange}
 
 
 class ConfigError(ValueError):
@@ -64,17 +60,9 @@ class RunConfig(ExperimentSpec):
 # --- config assembly ---------------------------------------------------------
 
 
-def _positive_number(raw, key):
-    try:
-        value = float(raw) if isinstance(raw, (int, float)) and not isinstance(raw, bool) else 0.0
-    except OverflowError:  # an integer of hundreds of digits
-        raise ConfigError(f"{key}: {len(str(abs(raw)))}-digit number overflows a float") from None
-    if not (math.isfinite(value) and value > 0):
-        raise ConfigError(f"{key}: expected a finite positive number, got {raw!r}")
-    return value
-
-
 def _densities_from_raw(raw, key="densities_per_km"):
+    """A start/stop/step grid object as its densities; a list as it is, for
+    ExperimentSpec to check."""
     if isinstance(raw, dict):
         unknown = set(raw) - {"start", "stop", "step"}
         if unknown:
@@ -83,10 +71,9 @@ def _densities_from_raw(raw, key="densities_per_km"):
             start, stop = raw["start"], raw["stop"]
         except KeyError as missing:
             raise ConfigError(f"{key}.{missing.args[0]}: required for a range grid") from None
-        step = raw.get("step", 1)
-        start = _positive_number(start, f"{key}.start")
-        stop = _positive_number(stop, f"{key}.stop")
-        step = _positive_number(step, f"{key}.step")
+        start = check_positive(f"{key}.start", start)
+        stop = check_positive(f"{key}.stop", stop)
+        step = check_positive(f"{key}.step", raw.get("step", 1))
         if stop < start:
             raise ConfigError(f"{key}: stop {stop:g} is below start {start:g}")
         values = []
@@ -99,52 +86,31 @@ def _densities_from_raw(raw, key="densities_per_km"):
             k += 1
         return tuple(values)
     if isinstance(raw, (list, tuple)):
-        if not raw:
-            raise ConfigError(f"{key}: density grid must not be empty")
-        return tuple(_positive_number(v, f"{key}[{i}]") for i, v in enumerate(raw))
+        return raw
     raise ConfigError(f"{key}: expected a list or a start/stop/step object, got {raw!r}")
 
 
 def _policy_from_raw(raw, key="range_policy"):
+    """The range policy of a config object: its "type" picks the class, whose
+    fields are the other keys and whose constructor checks their values."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{key}: expected an object, got {raw!r}")
     kind = raw.get("type")
-    if kind not in _POLICY_KEYS:
-        raise ConfigError(f"{key}.type: expected one of {sorted(_POLICY_KEYS)}, got {kind!r}")
-    unknown = set(raw) - _POLICY_KEYS[kind]
+    cls = _POLICY_TYPES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ConfigError(f"{key}.type: expected one of {sorted(_POLICY_TYPES)}, got {kind!r}")
+    values = {k: v for k, v in raw.items() if k != "type"}
+    fields = dataclasses.fields(cls)
+    unknown = set(values) - {f.name for f in fields}
     if unknown:
         raise ConfigError(f"{key}: unknown keys {sorted(unknown)} for type {kind!r}")
+    for f in fields:
+        if f.default is dataclasses.MISSING and f.name not in values:
+            raise ConfigError(f"{key}.{f.name}: required for type {kind!r}")
     try:
-        if kind == "fixed":
-            return FixedRange(range_m=_positive_number(raw["range_m"], f"{key}.range_m"))
-        if kind == "two_tier":
-            fraction, exact = raw["fraction_high"], raw.get("exact_count", False)
-            if not isinstance(fraction, (int, float)) or isinstance(fraction, bool) \
-                    or not 0.0 <= fraction <= 1.0:
-                raise ConfigError(f"{key}.fraction_high: must be within [0, 1], got {fraction!r}")
-            if not isinstance(exact, bool):
-                raise ConfigError(f"{key}.exact_count: expected true or false, got {exact!r}")
-            return TwoTierRange(
-                range_low_m=_positive_number(raw["range_low_m"], f"{key}.range_low_m"),
-                range_high_m=_positive_number(raw["range_high_m"], f"{key}.range_high_m"),
-                fraction_high=float(fraction), exact_count=exact,
-            )
-        support = raw.get("support", "continuous")
-        if isinstance(support, (list, tuple)):
-            support = [_positive_number(v, f"{key}.support[{i}]") for i, v in enumerate(support)]
-        elif not isinstance(support, str):
-            raise ConfigError(f"{key}.support: expected a list or 'continuous', got {support!r}")
-        return UniformRange(
-            mean_m=_positive_number(raw["mean_m"], f"{key}.mean_m"),
-            std_m=_positive_number(raw["std_m"], f"{key}.std_m"),
-            support=support,
-        )
-    except KeyError as missing:
-        raise ConfigError(f"{key}.{missing.args[0]}: required for type {kind!r}") from None
-    except ConfigError:
-        raise
+        return cls(**values)
     except ValueError as err:
-        raise ConfigError(f"{key}: {err}") from None
+        raise ConfigError(f"{key}.{err}") from None
 
 
 def load_config_file(path) -> dict:
@@ -163,33 +129,15 @@ def load_config_file(path) -> dict:
     return raw
 
 
-def _flag_policy(args) -> dict | None:
-    """Translate policy flags into the config-file schema (None if absent)."""
-    if getattr(args, "policy", None) is None and getattr(args, "comm_range", None) is None:
-        return None
-    kind = args.policy or "fixed"
-    raw = {"type": kind}
-    if kind == "fixed":
-        if args.comm_range is None:
-            raise ConfigError("range_policy.range_m: --range is required for a fixed policy")
-        raw["range_m"] = args.comm_range
-    elif kind == "two_tier":
-        for flag, key in (("range_low", "range_low_m"), ("range_high", "range_high_m"),
-                          ("fraction_high", "fraction_high")):
-            value = getattr(args, flag)
-            if value is None:
-                raise ConfigError(f"range_policy.{key}: --{flag.replace('_', '-')} is required "
-                                  "for a two_tier policy")
-            raw[key] = value
-        if args.exact_count:
-            raw["exact_count"] = True
-    else:
-        if args.mean is None or args.std is None:
-            raise ConfigError("range_policy: --mean and --std are required for a uniform policy")
-        raw.update(mean_m=args.mean, std_m=args.std)
-        if args.support:
-            raw["support"] = [float(v) for v in args.support.split(",")]
-    return raw
+def _flag_policy(args, raw):
+    """The file's policy with the policy flags laid over it key by key, or a
+    fresh policy of the --policy type (fixed for --range alone)."""
+    names = {f.name for cls in _POLICY_TYPES.values() for f in dataclasses.fields(cls)}
+    flags = {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
+    kind = getattr(args, "policy", None) or ("fixed" if "range_m" in flags else None)
+    if kind is not None:
+        return {"type": kind, **flags}
+    return {**raw, **flags} if flags and isinstance(raw, dict) else raw
 
 
 def parse_config(file_config: dict | None = None, flags=None) -> RunConfig:
@@ -209,12 +157,9 @@ def parse_config(file_config: dict | None = None, flags=None) -> RunConfig:
             "start": args.density_start, "stop": args.density_stop,
             "step": args.density_step if args.density_step is not None else 1,
         }
-    flag_policy = _flag_policy(args)
-    if flag_policy is not None:
-        cfg["range_policy"] = flag_policy
-    for flag, key in (("segment_length", "segment_length_m"), ("trials", "trials"),
-                      ("seed", "master_seed"), ("direction", "direction")):
-        value = getattr(args, flag, None)
+    cfg["range_policy"] = _flag_policy(args, cfg.get("range_policy"))
+    for key in ("segment_length_m", "trials", "master_seed", "direction"):
+        value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
     if getattr(args, "method", None):
@@ -222,13 +167,9 @@ def parse_config(file_config: dict | None = None, flags=None) -> RunConfig:
 
     if "densities_per_km" not in cfg:
         raise ConfigError("densities_per_km: required (config key or --density flags)")
-    densities = _densities_from_raw(cfg["densities_per_km"])
-    if "range_policy" not in cfg:
+    if cfg["range_policy"] is None:
         raise ConfigError("range_policy: required (config key or --policy/--range flags)")
     policy = _policy_from_raw(cfg["range_policy"])
-
-    segment_length = _positive_number(
-        cfg.get("segment_length_m", DEFAULT_SEGMENT_LENGTH_M), "segment_length_m")
 
     direction = cfg.get("direction")
     if direction is None:
@@ -241,10 +182,6 @@ def parse_config(file_config: dict | None = None, flags=None) -> RunConfig:
             methods.append("analytic-chain")
     if not isinstance(methods, (list, tuple)) or not methods:
         raise ConfigError("methods: expected a non-empty list")
-    for i, method in enumerate(methods):
-        if method not in VALID_METHODS:
-            raise ConfigError(f"methods[{i}]: unknown method {method!r}; "
-                              f"valid: {sorted(VALID_METHODS)}")
     if getattr(args, "command", None) == "analytic":  # closed forms only, no trials
         methods = [m for m in methods if m not in TRIAL_METHODS] or ["analytic"]
 
@@ -255,8 +192,9 @@ def parse_config(file_config: dict | None = None, flags=None) -> RunConfig:
 
     try:
         return RunConfig(
-            densities_per_km=densities, segment_length_m=segment_length, policy=policy,
-            methods=methods, direction=direction, trials=trials,
+            densities_per_km=_densities_from_raw(cfg["densities_per_km"]),
+            segment_length_m=cfg.get("segment_length_m", DEFAULT_SEGMENT_LENGTH_M),
+            policy=policy, methods=methods, direction=direction, trials=trials,
             master_seed=cfg.get("master_seed", DEFAULT_MASTER_SEED),
             output=getattr(args, "output", None),
             workers=1 if getattr(args, "workers", None) is None else args.workers,
@@ -551,6 +489,12 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+def number_list(text: str) -> list:
+    """A comma-separated list of numbers; argparse reports a bad one as a
+    usage error."""
+    return [float(v) for v in text.split(",")]
+
+
 def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; flags override its values")
     parser.add_argument("--density", action="append", type=float,
@@ -558,21 +502,23 @@ def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--density-start", type=float)
     parser.add_argument("--density-stop", type=float)
     parser.add_argument("--density-step", type=float)
-    parser.add_argument("--segment-length", dest="segment_length", type=float,
+    parser.add_argument("--segment-length", dest="segment_length_m", type=float,
                         help="road length in meters (default 10000)")
-    parser.add_argument("--policy", choices=("fixed", "two_tier", "uniform"))
-    parser.add_argument("--range", dest="comm_range", type=float,
+    # each policy flag's dest is its range_policy key, which _flag_policy relies on
+    parser.add_argument("--policy", choices=sorted(_POLICY_TYPES))
+    parser.add_argument("--range", dest="range_m", type=float,
                         help="fixed communication range in meters")
-    parser.add_argument("--range-low", dest="range_low", type=float)
-    parser.add_argument("--range-high", dest="range_high", type=float)
+    parser.add_argument("--range-low", dest="range_low_m", type=float)
+    parser.add_argument("--range-high", dest="range_high_m", type=float)
     parser.add_argument("--fraction-high", dest="fraction_high", type=float)
-    parser.add_argument("--exact-count", dest="exact_count", action="store_true",
+    parser.add_argument("--exact-count", dest="exact_count", action="store_true", default=None,
                         help="two-tier: assign exactly round(fraction*n) high ranges")
-    parser.add_argument("--mean", type=float, help="uniform policy mean range (m)")
-    parser.add_argument("--std", type=float, help="uniform policy std dev (m)")
-    parser.add_argument("--support", help="comma-separated discrete range levels (m)")
+    parser.add_argument("--mean", dest="mean_m", type=float, help="uniform policy mean range (m)")
+    parser.add_argument("--std", dest="std_m", type=float, help="uniform policy std dev (m)")
+    parser.add_argument("--support", type=number_list,
+                        help="comma-separated discrete range levels (m)")
     parser.add_argument("--trials", type=int)
-    parser.add_argument("--seed", type=int, help="master seed")
+    parser.add_argument("--seed", dest="master_seed", type=int, help="master seed")
     parser.add_argument("--method", action="append", choices=VALID_METHODS,
                         help="method to run (repeatable)")
     parser.add_argument("--direction", choices=montecarlo.DIRECTIONS)

@@ -152,7 +152,11 @@ class ExperimentSpec:
     master_seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "densities_per_km", tuple(float(d) for d in self.densities_per_km))
+        densities = tuple(check_positive(f"densities_per_km[{i}]", d)
+                          for i, d in enumerate(self.densities_per_km))
+        object.__setattr__(self, "densities_per_km", densities)
+        object.__setattr__(self, "segment_length_m",
+                           check_positive("segment_length_m", self.segment_length_m))
         object.__setattr__(self, "methods", tuple(self.methods))
         for name in ("trials", "master_seed"):
             value = getattr(self, name)
@@ -160,15 +164,13 @@ class ExperimentSpec:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
         if not self.densities_per_km:
-            raise ValueError("density grid must not be empty")
-        for density in self.densities_per_km:
-            check_positive("densities_per_km", density)
-        check_positive("segment_length_m", self.segment_length_m)
+            raise ValueError("densities_per_km: the density grid must not be empty")
         if not self.methods:
-            raise ValueError("method set must not be empty")
-        unknown = [m for m in self.methods if m not in VALID_METHODS]
-        if unknown:
-            raise ValueError(f"unknown methods {unknown}; valid: {sorted(VALID_METHODS)}")
+            raise ValueError("methods: the method set must not be empty")
+        for i, method in enumerate(self.methods):
+            if method not in VALID_METHODS:
+                raise ValueError(f"methods[{i}]: unknown method {method!r}; "
+                                 f"valid: {sorted(VALID_METHODS)}")
         if len(set(self.methods)) != len(self.methods):
             raise ValueError("duplicate methods in spec")
         if self.direction not in DIRECTIONS:
@@ -263,8 +265,6 @@ def _verdicts(spec: ExperimentSpec, gaps: np.ndarray, ranges: np.ndarray,
             verdicts[method] = chain
         elif method == "oracle":
             verdicts[method] = line_reachable_rows(positions, ranges)
-        elif method not in dense:
-            raise ValueError(f"not a per-trial method: {method}")
     return verdicts
 
 

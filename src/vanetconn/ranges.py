@@ -8,6 +8,7 @@ explicit list of equiprobable discrete levels).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Union
 
@@ -26,7 +27,7 @@ class FixedRange:
     range_m: float
 
     def __post_init__(self):
-        check_positive("range_m", self.range_m)
+        _positive_fields(self, "range_m")
 
 
 @dataclass(frozen=True)
@@ -44,15 +45,19 @@ class TwoTierRange:
     exact_count: bool = False
 
     def __post_init__(self):
-        check_positive("range_low_m", self.range_low_m)
-        check_positive("range_high_m", self.range_high_m)
+        _positive_fields(self, "range_low_m", "range_high_m")
         if not self.range_low_m < self.range_high_m:
             raise ValueError(
-                f"range_low_m must be < range_high_m, got "
+                f"range_low_m: must be < range_high_m, got "
                 f"{self.range_low_m} and {self.range_high_m}"
             )
-        if not 0.0 <= self.fraction_high <= 1.0:
-            raise ValueError(f"fraction_high must be within [0, 1], got {self.fraction_high}")
+        fraction = self.fraction_high
+        if isinstance(fraction, bool) or not isinstance(fraction, numbers.Real) \
+                or not 0.0 <= fraction <= 1.0:
+            raise ValueError(f"fraction_high: expected a number within [0, 1], got {fraction!r}")
+        object.__setattr__(self, "fraction_high", float(fraction))
+        if not isinstance(self.exact_count, bool):
+            raise ValueError(f"exact_count: expected True or False, got {self.exact_count!r}")
 
     def high_count(self, n: int) -> int:
         """High ranges among n vehicles under exact_count: round half up."""
@@ -64,8 +69,8 @@ class UniformRange:
     """Uniform random range with the given mean and standard deviation.
 
     support="continuous" draws from [mean - sqrt(3)*std, mean + sqrt(3)*std],
-    which realizes the stated mean and std exactly.  A sequence of values
-    instead draws equiprobably from that list; the list's mean/std must match
+    which realizes the stated mean and std exactly.  A list or tuple of values
+    instead draws equiprobably from those levels; their mean/std must match
     the declared ones to 1e-9 relative.
     """
 
@@ -74,33 +79,31 @@ class UniformRange:
     support: Union[str, tuple] = "continuous"
 
     def __post_init__(self):
-        check_positive("mean_m", self.mean_m)
-        check_positive("std_m", self.std_m)
-        if isinstance(self.support, str):
-            if self.support != "continuous":
-                raise ValueError(f"support must be 'continuous' or a value list, got {self.support!r}")
+        _positive_fields(self, "mean_m", "std_m")
+        if isinstance(self.support, str) and self.support == "continuous":
             if self.mean_m - _SQRT3 * self.std_m <= 0:
                 raise ValueError(
-                    "continuous support extends to nonpositive ranges: "
+                    "support: 'continuous' extends to nonpositive ranges: "
                     f"mean - sqrt(3)*std = {self.mean_m - _SQRT3 * self.std_m:.6g} m"
                 )
-        else:
-            values = tuple(float(v) for v in self.support)
+        elif isinstance(self.support, (list, tuple)):
+            values = tuple(check_positive(f"support[{i}]", v) for i, v in enumerate(self.support))
             if len(values) < 2:
-                raise ValueError("discrete support needs at least two values")
-            for value in values:
-                check_positive("support value", value)
+                raise ValueError("support: a discrete support needs at least two values")
             arr = np.asarray(values)
             mean, std = float(arr.mean()), float(arr.std())
             if abs(mean - self.mean_m) > _MOMENT_RTOL * self.mean_m:
                 raise ValueError(
-                    f"support mean {mean:.12g} inconsistent with mean_m {self.mean_m:.12g}"
+                    f"support: mean {mean:.12g} inconsistent with mean_m {self.mean_m:.12g}"
                 )
             if abs(std - self.std_m) > _MOMENT_RTOL * self.std_m:
                 raise ValueError(
-                    f"support std {std:.12g} inconsistent with std_m {self.std_m:.12g}"
+                    f"support: std {std:.12g} inconsistent with std_m {self.std_m:.12g}"
                 )
             object.__setattr__(self, "support", values)
+        else:
+            raise ValueError(f"support: expected 'continuous' or a list of levels, "
+                             f"got {self.support!r}")
 
     @property
     def bounds(self) -> tuple:
@@ -110,6 +113,12 @@ class UniformRange:
 
 
 RangePolicy = Union[FixedRange, TwoTierRange, UniformRange]
+
+
+def _positive_fields(policy, *names) -> None:
+    """Check each named field with check_positive and store it as a float."""
+    for name in names:
+        object.__setattr__(policy, name, check_positive(name, getattr(policy, name)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,6 +8,7 @@ summing consecutive gaps.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,10 +25,19 @@ SPACING_QUANTUM_M = 2.0 ** -26
 FREE_FLOW_MAX_DENSITY_PER_KM = 25.0
 
 
-def check_positive(name: str, value: float) -> None:
-    """Refuse a value that is not a finite number > 0, NaN included."""
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and > 0, got {value}")
+def check_positive(name: str, value) -> float:
+    """The value as a float; refuses a bool, a non-real, NaN, +-inf, a value
+    <= 0 and an int too large for a float, in a message led by ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name}: expected a finite positive number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer of hundreds of digits
+        digits = len(str(abs(value)))
+        raise ValueError(f"{name}: {digits}-digit number overflows a float") from None
+    if not (math.isfinite(number) and number > 0):
+        raise ValueError(f"{name}: expected a finite positive number, got {value!r}")
+    return number
 
 
 def vehicle_count(density: float, segment_length: float) -> int:

@@ -79,7 +79,7 @@ class TestParseConfig:
         assert cfg.trials == 500
 
     def test_flag_policy_overrides_file(self):
-        cfg = parse_config(dict(MINIMAL), flags(policy="uniform", mean=600.0, std=50.0,
+        cfg = parse_config(dict(MINIMAL), flags(policy="uniform", mean_m=600.0, std_m=50.0,
                                                 support=None))
         assert isinstance(cfg.policy, UniformRange)
         assert cfg.policy.mean_m == 600.0
@@ -394,15 +394,55 @@ class TestMainEntry:
           "fraction_high": 0.5, "exact_count": "no"}, "range_policy.exact_count"),
         ({"type": "uniform", "mean_m": 750, "std_m": 100, "support": 5},
          "range_policy.support"),
+        ({"type": "fixed", "range_m": "750"}, "range_policy.range_m"),
+        ({"type": "two_tier", "range_low_m": True, "range_high_m": 1000,
+          "fraction_high": 0.5}, "range_policy.range_low_m"),
+        ({"type": "two_tier", "range_low_m": 500, "range_high_m": None,
+          "fraction_high": 0.5}, "range_policy.range_high_m"),
+        ({"type": "two_tier", "range_low_m": 500, "range_high_m": 1000,
+          "fraction_high": "0.5"}, "range_policy.fraction_high"),
+        ({"type": "uniform", "mean_m": [750], "std_m": 100}, "range_policy.mean_m"),
+        ({"type": "uniform", "mean_m": 750, "std_m": False}, "range_policy.std_m"),
     ])
     def test_wrong_typed_policy_value_is_config_error(self, policy, key, tmp_path, capsys):
-        # a JSON string is not a boolean, and a number is not a list of levels
+        # a JSON string is not a boolean, a number is not a list of levels,
+        # and a string, a boolean, null or a list is not a number
         path, out = tmp_path / "run.json", tmp_path / "out.csv"
         path.write_text(json.dumps(dict(MINIMAL, range_policy=policy, trials=5,
                                         methods=["chain"])))
         assert cli.main(["sweep", "--config", str(path), "--output", str(out)]) == 2
         assert f"config error: {key}:" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("policy, unknown", [
+        (["--policy", "two_tier", "--range-low", "500", "--range-high", "1000",
+          "--fraction-high", "0.5", "--mean", "3"], ["mean_m"]),
+        (["--policy", "fixed", "--range", "750", "--range-low", "300"], ["range_low_m"]),
+    ])
+    def test_policy_flag_the_type_does_not_take_is_config_error(self, policy, unknown,
+                                                               capsys):
+        argv = ["single", "--density", "10", "--trials", "5", "--method", "chain"] + policy
+        assert cli.main(argv) == 2
+        assert f"config error: range_policy: unknown keys {unknown}" in capsys.readouterr().err
+
+    def test_policy_flags_override_file_policy_key_by_key(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"range_policy": {
+            "type": "two_tier", "range_low_m": 500, "range_high_m": 1000, "fraction_high": 0.5}}))
+        code = cli.main(["single", "--config", str(path), "--density", "10", "--trials", "5",
+                         "--method", "chain", "--range-low", "300", "--fraction-high", "0.9",
+                         "-v"])
+        assert code == 0
+        assert capsys.readouterr().err.startswith(
+            "single: two_tier:R1=300:R2=1000:p_high=0.9 methods=chain")
+
+    def test_bad_support_level_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as usage_exit:
+            cli.main(["single", "--density", "10", "--policy", "uniform", "--mean", "750",
+                      "--std", "250", "--support", "500,abc"])
+        assert usage_exit.value.code == 2
+        assert "argument --support: invalid number_list value: '500,abc'" \
+            in capsys.readouterr().err
 
     def test_output_directory_is_config_error(self, tmp_path, capsys):
         code = cli.main(["sweep", "--density", "8", "--policy", "fixed", "--range", "600",

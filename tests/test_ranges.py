@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from vanetconn.montecarlo import ExperimentSpec
 from vanetconn.ranges import (
     FixedRange,
     RangeAssignment,
@@ -76,6 +77,31 @@ class TestPolicies:
             assign_ranges(FixedRange(500.0), 1, np.random.default_rng(0))
 
 
+FIELD_BUILDERS = {
+    "range_m": lambda v: FixedRange(v),
+    "range_low_m": lambda v: TwoTierRange(v, 1000.0, 0.5),
+    "range_high_m": lambda v: TwoTierRange(500.0, v, 0.5),
+    "fraction_high": lambda v: TwoTierRange(500.0, 1000.0, v),
+    "exact_count": lambda v: TwoTierRange(500.0, 1000.0, 0.5, v),
+    "mean_m": lambda v: UniformRange(v, 100.0),
+    "std_m": lambda v: UniformRange(750.0, v),
+    "support": lambda v: UniformRange(750.0, 100.0, v),
+    "support[1]": lambda v: UniformRange(750.0, 250.0, (500.0, v)),
+    "densities_per_km[1]": lambda v: ExperimentSpec((5.0, v), 10_000.0, FixedRange(750.0),
+                                                    ("chain",), "undirected", 5, 1),
+    "segment_length_m": lambda v: ExperimentSpec((5.0,), v, FixedRange(750.0),
+                                                 ("chain",), "undirected", 5, 1),
+}
+WRONG_VALUES = {"True": True, "'750'": "750", "None": None, "10**400": 10 ** 400, "nan": math.nan}
+# True is a valid exact_count, so that field gets 1 and "no" instead
+WRONG_FIELD_VALUES = [
+    pytest.param(field, value, id=f"{field}={name}")
+    for field in FIELD_BUILDERS for name, value in WRONG_VALUES.items()
+    if (field, name) != ("exact_count", "True")
+] + [pytest.param(field, value, id=f"{field}={value!r}")
+     for field, value in (("exact_count", 1), ("exact_count", "no"), ("support", 5))]
+
+
 class TestValidation:
     def test_two_tier_ordering_and_fraction(self):
         with pytest.raises(ValueError):
@@ -107,6 +133,14 @@ class TestValidation:
             UniformRange(750.0, bad)
         with pytest.raises(ValueError, match="support"):
             UniformRange(750.0, 250.0, (500.0, bad))
+
+    @pytest.mark.parametrize("field, value", WRONG_FIELD_VALUES)
+    def test_each_field_refuses_wrong_values_by_name(self, field, value):
+        # the types own their value rules: a bool, a string, None, an int too
+        # large for a float and NaN are refused with the field named first
+        with pytest.raises(ValueError) as refusal:
+            FIELD_BUILDERS[field](value)
+        assert str(refusal.value).startswith(f"{field}:")
 
     def test_positive_ranges_only(self):
         with pytest.raises(ValueError):
