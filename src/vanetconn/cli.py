@@ -235,24 +235,6 @@ def _write_lines(lines, path) -> Path:
     return path
 
 
-def read_csv(path):
-    """Parse an emitted CSV back into plain dict rows (floats re-parsed)."""
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError(f"{path}: unexpected CSV header")
-    names = CSV_HEADER.split(",")
-    out = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        row = dict(zip(names, parts))
-        for key in ("density_per_km", "p_hat", "stderr"):
-            row[key] = float(row[key])
-        for key in ("trials", "master_seed"):
-            row[key] = int(row[key])
-        out.append(row)
-    return out
-
-
 # --- figure presets -------------------------------------------------------------
 
 

@@ -2,9 +2,9 @@
 
 Four independent routes are provided on purpose so they can check each other:
 
-* spectral: count of near-zero Laplacian eigenvalues / algebraic connectivity
-  (here from the full spectrum; the Monte-Carlo run path tests lambda_2 > tol
-  by inertia, one Cholesky factorization per snapshot),
+* spectral: count of near-zero Laplacian eigenvalues (from the full
+  spectrum) / algebraic connectivity lambda_2 > tol (by inertia, one Cholesky
+  factorization per snapshot),
 * adjacency power: existence of an exact-length walk between the end vehicles,
 * traversal oracles: union-find component count and directed breadth-first
   reachability,
@@ -24,8 +24,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
-from .graphs import DIRECTION_UPWARD, Adjacency, Laplacian
+from .graphs import DIRECTION_UPWARD, Adjacency, Laplacian, laplacian
 from .ranges import FixedRange, RangeAssignment, RangePolicy, TwoTierRange, UniformRange
 from .traffic import HeadwayVector
 
@@ -39,14 +40,8 @@ from .traffic import HeadwayVector
 _ZERO_TOLERANCE_FACTOR = 64.0
 
 
-def laplacian_zero_tolerance(lap: Laplacian) -> float:
-    """Zero tolerance scaled by machine epsilon, size and the largest degree
-    (the Laplacian's diagonal)."""
-    return float(zero_tolerance_rows(lap.entries.diagonal()))
-
-
-def zero_tolerance_rows(degrees: np.ndarray) -> np.ndarray:
-    """``laplacian_zero_tolerance`` of each row of (..., n) vertex degrees."""
+def _zero_tolerance(degrees: np.ndarray) -> np.ndarray:
+    """The zero tolerance of each row of (..., n) degrees (a Laplacian's diagonal)."""
     max_degree = np.maximum(degrees.max(axis=-1), 1.0)
     return _ZERO_TOLERANCE_FACTOR * degrees.shape[-1] * np.finfo(np.float64).eps * max_degree
 
@@ -72,7 +67,7 @@ def eigenvalues_symmetric(lap: Laplacian, zero_tolerance: float | None = None) -
         raise ValueError("need at least a 2x2 matrix")
     if not np.array_equal(m, m.T):
         raise ValueError("matrix is not symmetric")
-    tol = laplacian_zero_tolerance(lap) if zero_tolerance is None else zero_tolerance
+    tol = float(_zero_tolerance(m.diagonal())) if zero_tolerance is None else zero_tolerance
     eig = np.linalg.eigvalsh(m)
     # a Laplacian is positive semidefinite with a zero eigenvalue (constant
     # vector), so the lowest eigenvalue must sit inside [-tol, tol]
@@ -88,9 +83,30 @@ def component_count(spectral: SpectralResult) -> int:
 
 def is_connected_laplacian(lap: Laplacian) -> bool:
     """Connected iff the algebraic connectivity (second-lowest eigenvalue)
-    is strictly positive."""
-    spectral = eigenvalues_symmetric(lap)
-    return spectral.lambda2 > spectral.zero_tolerance
+    is strictly positive: ``laplacian_rows`` of the graph whose D - A is L."""
+    m = lap.entries
+    if m.shape[0] < 2 or not np.array_equal(m, m.T):
+        raise ValueError("need a symmetric matrix of at least 2x2")
+    graph = (m < 0) & ~np.eye(len(m), dtype=bool)
+    if not np.array_equal(laplacian(Adjacency(graph)).entries, m):
+        raise ValueError("not the Laplacian D - A of a 0/1 graph")
+    return bool(laplacian_rows(graph[None])[0])
+
+
+def laplacian_rows(graphs: np.ndarray) -> np.ndarray:
+    """lambda_2 > tol of the Laplacian of each symmetric 0/1 graph (zero
+    diagonal) in a (rows, n, n) stack, by inertia: L 1 = 0, so M = L + 11^T / n
+    - tol I has eigenvalues 1 - tol and lambda_k - tol (k >= 2), and M is
+    positive definite iff lambda_2 > tol, iff its stacked Cholesky factor (a
+    quarter of an eigensolve's flops) comes back without NaN; nothing raises."""
+    n = graphs.shape[-1]
+    degrees = graphs.sum(axis=2)
+    shifted = 1.0 / n - graphs
+    tol = _zero_tolerance(degrees)[:, None]
+    shifted[:, np.arange(n), np.arange(n)] = degrees + (1.0 / n - tol)
+    with np.errstate(invalid="ignore"):
+        factor = _umath_linalg.cholesky_lo(shifted, signature="d->d")
+    return ~np.isnan(factor[:, n - 1, n - 1])
 
 
 def _bool_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -125,10 +141,16 @@ def bool_power_reach(a: Adjacency, k: int) -> np.ndarray:
 def is_connected_exponent(a: Adjacency) -> bool:
     """End-to-end verdict from the (n-1)th adjacency power: a walk of exactly
     n-1 links from the first vehicle to the last."""
-    n = a.size
-    if n < 2:
+    if a.size < 2:
         raise ValueError("need at least 2 vehicles")
-    return bool(_bool_power(a.entries, n - 1, slice(0, 1))[0, n - 1])
+    return bool(exponent_rows(a.entries[None])[0])
+
+
+def exponent_rows(links: np.ndarray) -> np.ndarray:
+    """``is_connected_exponent`` of each matrix in a (rows, n, n) stack of 0/1
+    links: a walk of exactly n - 1 links from the first vehicle to the last."""
+    n = links.shape[-1]
+    return _bool_power(links, n - 1, slice(0, 1))[:, 0, n - 1]
 
 
 def oracle_components(a: Adjacency) -> int:

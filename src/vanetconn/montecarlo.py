@@ -25,20 +25,19 @@ from itertools import combinations
 from typing import Optional
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from .connectivity import (
     AnalyticModel,
-    _bool_power,
     analytic_pc,
     analytic_pc_chain_mixed,
+    exponent_rows,
+    laplacian_rows,
     line_chain_rows,
     line_reachable_rows,
-    zero_tolerance_rows,
 )
 from .graphs import DIRECTION_UPWARD
 from .ranges import FixedRange, RangePolicy, check_ranges, draw_ranges, mean_range, policy_label
-from .traffic import check_positive, headway_gaps, vehicle_count, vehicle_positions
+from .traffic import check_positive, headway_gaps, shown, vehicle_count, vehicle_positions
 
 TRIAL_METHODS = ("laplacian", "exponent", "oracle", "chain")
 # Trial methods that judge n x n matrices.
@@ -92,10 +91,11 @@ def _mix64(x):
     return x ^ (x >> 31)
 
 
-def trial_seed(master_seed: int, grid_index: int, trial_index: int) -> int:
-    """Distinct, order-free 64-bit seed for one (grid point, trial) cell."""
+def trial_seed(master_seed: int, grid_index: int, trial_index):
+    """Distinct, order-free 64-bit seed for one (grid point, trial) cell; a
+    uint64 array of trial indices gives a uint64 array of their seeds."""
     counter = ((grid_index & 0xFFFFFFFF) << 32) | (trial_index & 0xFFFFFFFF)
-    return _mix64((master_seed + _GOLDEN * (counter + 1)) & _MASK64)
+    return _mix64((master_seed & _MASK64) + _GOLDEN * (counter + 1))
 
 
 def trial_rng(master_seed: int, grid_index: int, trial_index: int) -> np.random.Generator:
@@ -112,8 +112,7 @@ def _seed_words(master_seed: int, grid_index: int, trials: range) -> np.ndarray:
     """(rows, 4) uint64 seed words of a block: row t, for t in trials, equals
     SeedSequence(trial_seed(master_seed, grid_index, t)).generate_state(4, np.uint64)."""
     trial_index = np.arange(trials.start, trials.stop, dtype=np.uint64)
-    counter = ((grid_index & 0xFFFFFFFF) << 32) | (trial_index & 0xFFFFFFFF)
-    seed = _mix64((master_seed & _MASK64) + _GOLDEN * (counter + 1))
+    seed = trial_seed(master_seed, grid_index, trial_index)
     # numpy hashes the seed's words (lo, hi) and 0 for each missing pool word
     pool = np.zeros((4, len(seed)), dtype=np.uint32)
     pool[0], pool[1] = seed.astype(np.uint32), (seed >> 32).astype(np.uint32)
@@ -184,7 +183,9 @@ class ExperimentSpec:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.trials > 1 << 32:  # trial_seed would reuse streams
             raise ValueError(f"trials must be <= 2**32 (the seed keeps 32 bits of the "
-                             f"trial index), got {self.trials}")
+                             f"trial index), got {shown(self.trials)}")
+        if not 0 <= self.master_seed <= _MASK64:  # others would reuse these seeds' streams
+            raise ValueError(f"master_seed: must be in [0, 2**64), got {shown(self.master_seed)}")
         dense = [m for m in self.methods if m in DENSE_METHODS]
         n = vehicle_count(max(self.densities_per_km) / 1000.0, self.segment_length_m)
         if dense and n > MAX_DENSE_VEHICLES:
@@ -269,13 +270,10 @@ def _verdicts(spec: ExperimentSpec, gaps: np.ndarray, ranges: np.ndarray,
 
 
 def _dense_rows(positions: np.ndarray, ranges: np.ndarray, methods: list) -> dict:
-    """``laplacian`` / ``exponent`` verdicts of each row of (rows, n) positions
-    and ranges, judged on stacked (step, n, n) matrices of at most
-    BLOCK_ELEMENTS entries each: the Laplacian of the symmetrized upward links
-    (the full graph under one fixed range), the walk power of the upward ones.
-    ``laplacian`` is decided by inertia, not by a spectrum: one Cholesky
-    factorization per matrix, about a quarter of an eigensolve's flops, tests
-    lambda_2 > tol.  The public ``is_connected_laplacian`` keeps the spectrum."""
+    """``laplacian`` / ``exponent`` verdicts of each row of (rows, n) positions and
+    ranges, judged on stacked (step, n, n) matrices of at most BLOCK_ELEMENTS
+    entries each: ``laplacian_rows`` of the symmetrized upward links (the full
+    graph under one fixed range), ``exponent_rows`` of the upward ones."""
     rows, n = positions.shape
     verdicts = {m: np.empty(rows, dtype=bool) for m in methods}
     step = max(1, BLOCK_ELEMENTS // n ** 2)
@@ -284,21 +282,9 @@ def _dense_rows(positions: np.ndarray, ranges: np.ndarray, methods: list) -> dic
         # upward link i -> j iff i < j and S[i, j] = x_j - x_i <= R_i
         links = np.triu(x[:, None, :] - x[:, :, None] <= r[:, :, None], 1)
         if "laplacian" in methods:
-            graph = links | links.swapaxes(1, 2)
-            degrees = graph.sum(axis=2)
-            # L 1 = 0, so M = L + 11^T / n - tol I has eigenvalues 1 - tol and
-            # lambda_k - tol (k >= 2): M is positive definite iff lambda_2 > tol
-            shifted = 1.0 / n - graph
-            tol = zero_tolerance_rows(degrees)[:, None]
-            shifted[:, np.arange(n), np.arange(n)] = degrees + (1.0 / n - tol)
-            # a matrix that is not positive definite comes back NaN, unraised
-            with np.errstate(invalid="ignore"):
-                factor = _umath_linalg.cholesky_lo(shifted, signature="d->d")
-            verdicts["laplacian"][first:first + step] = ~np.isnan(factor[:, n - 1, n - 1])
+            verdicts["laplacian"][first:first + step] = laplacian_rows(links | links.swapaxes(1, 2))
         if "exponent" in methods:
-            # a walk of exactly n - 1 links from the first vehicle to the last
-            walks = _bool_power(links, n - 1, slice(0, 1))
-            verdicts["exponent"][first:first + step] = walks[:, 0, n - 1]
+            verdicts["exponent"][first:first + step] = exponent_rows(links)
     return verdicts
 
 

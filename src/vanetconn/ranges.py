@@ -14,7 +14,7 @@ from typing import Union
 
 import numpy as np
 
-from .traffic import check_positive
+from .traffic import check_positive, shown
 
 _SQRT3 = math.sqrt(3.0)
 _MOMENT_RTOL = 1e-9
@@ -54,10 +54,11 @@ class TwoTierRange:
         fraction = self.fraction_high
         if isinstance(fraction, bool) or not isinstance(fraction, numbers.Real) \
                 or not 0.0 <= fraction <= 1.0:
-            raise ValueError(f"fraction_high: expected a number within [0, 1], got {fraction!r}")
+            raise ValueError(f"fraction_high: expected a number within [0, 1], "
+                             f"got {shown(fraction)}")
         object.__setattr__(self, "fraction_high", float(fraction))
         if not isinstance(self.exact_count, bool):
-            raise ValueError(f"exact_count: expected True or False, got {self.exact_count!r}")
+            raise ValueError(f"exact_count: expected True or False, got {shown(self.exact_count)}")
 
     def high_count(self, n: int) -> int:
         """High ranges among n vehicles under exact_count: round half up."""
@@ -103,7 +104,7 @@ class UniformRange:
             object.__setattr__(self, "support", values)
         else:
             raise ValueError(f"support: expected 'continuous' or a list of levels, "
-                             f"got {self.support!r}")
+                             f"got {shown(self.support)}")
 
     @property
     def bounds(self) -> tuple:

@@ -33,11 +33,20 @@ def check_positive(name: str, value) -> float:
     try:
         number = float(value)
     except OverflowError:  # an integer of hundreds of digits
-        digits = len(str(abs(value)))
-        raise ValueError(f"{name}: {digits}-digit number overflows a float") from None
+        raise ValueError(f"{name}: {shown(value)} overflows a float") from None
     if not (math.isfinite(number) and number > 0):
         raise ValueError(f"{name}: expected a finite positive number, got {value!r}")
     return number
+
+
+def shown(value) -> str:
+    """``repr`` of a value for a message, but of an int over 1,000 bits (any int
+    too large for a float) its digit count; Python prints none over 4,300 digits."""
+    bits = abs(value).bit_length() if isinstance(value, int) else 0
+    if bits <= 1000:
+        return repr(value)
+    low = int((bits - 1) * math.log10(2))  # 10**low <= |value|
+    return f"{low + 1 + (abs(value) >= 10 ** (low + 1))}-digit number"
 
 
 def vehicle_count(density: float, segment_length: float) -> int:

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import hashlib
 import json
 
@@ -11,7 +12,6 @@ from vanetconn.cli import (
     emit_csv,
     load_config_file,
     parse_config,
-    read_csv,
     run_figure_preset,
 )
 from vanetconn.montecarlo import ConnectivityEstimate, ExperimentSpec, sweep
@@ -22,6 +22,14 @@ from conftest import set_usable_cpus
 
 def flags(**kwargs):
     return argparse.Namespace(**kwargs)
+
+
+def read_rows(path):
+    """The rows of an emitted CSV as dicts of strings, its header checked."""
+    with open(path, newline="") as handle:
+        reader = csv.DictReader(handle)
+        assert reader.fieldnames == CSV_HEADER.split(",")
+        return list(reader)
 
 
 MINIMAL = {
@@ -135,18 +143,19 @@ class TestEmitCsv:
 
     def test_analytic_rows_carry_zero_trials(self, tmp_path):
         rows = sweep(self.spec())
-        parsed = read_csv(emit_csv(rows, tmp_path / "c.csv"))
+        parsed = read_rows(emit_csv(rows, tmp_path / "c.csv"))
         analytic = [r for r in parsed if r["method"] == "analytic"]
-        assert analytic and all(r["trials"] == 0 and r["stderr"] == 0.0 for r in analytic)
+        assert analytic and all(r["trials"] == "0" and float(r["stderr"]) == 0.0
+                                for r in analytic)
 
     def test_round_trip_at_printed_precision(self, tmp_path):
         rows = sweep(self.spec())
-        parsed = read_csv(emit_csv(rows, tmp_path / "d.csv"))
-        by_key = {(r["density_per_km"], r["method"]): r for r in parsed}
+        parsed = read_rows(emit_csv(rows, tmp_path / "d.csv"))
+        by_key = {(float(r["density_per_km"]), r["method"]): r for r in parsed}
         for row in rows:
             got = by_key[(row.density_per_km, row.method)]
-            assert got["p_hat"] == float(f"{row.p_hat:.6g}")
-            assert got["stderr"] == float(f"{row.stderr:.6g}")
+            assert float(got["p_hat"]) == float(f"{row.p_hat:.6g}")
+            assert float(got["stderr"]) == float(f"{row.stderr:.6g}")
 
     def test_rows_sorted_density_then_method(self, tmp_path):
         rows = [
@@ -154,9 +163,9 @@ class TestEmitCsv:
             ConnectivityEstimate(4.0, "oracle", "fixed:R=750", 0.2, 0.1, 1, 5, 1),
             ConnectivityEstimate(4.0, "chain", "fixed:R=750", 0.2, 0.1, 1, 5, 1),
         ]
-        parsed = read_csv(emit_csv(rows, tmp_path / "e.csv"))
+        parsed = read_rows(emit_csv(rows, tmp_path / "e.csv"))
         assert [(r["density_per_km"], r["method"]) for r in parsed] == [
-            (4.0, "chain"), (4.0, "oracle"), (12.0, "oracle")]
+            ("4", "chain"), ("4", "oracle"), ("12", "oracle")]
 
     def test_empty_table_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -167,7 +176,7 @@ class TestFigurePresets:
     def test_fig1_row_coverage(self, tmp_path):
         path = run_figure_preset("fig1", master_seed=3, trials_traversal=2,
                                  trials_spectral=2, outdir=tmp_path)
-        rows = read_csv(path)
+        rows = read_rows(path)
         # 24 densities x 3 ranges x 5 methods
         assert len(rows) == 24 * 3 * 5
         assert {r["method"] for r in rows} == {"oracle", "chain", "laplacian",
@@ -177,7 +186,7 @@ class TestFigurePresets:
     def test_fig5_policies_and_methods(self, tmp_path):
         path = run_figure_preset("fig5", master_seed=3, trials_traversal=2,
                                  trials_spectral=2, outdir=tmp_path)
-        rows = read_csv(path)
+        rows = read_rows(path)
         assert len({r["range_policy"] for r in rows}) == 5
         assert {r["method"] for r in rows} == {"chain", "laplacian", "analytic",
                                                "analytic-chain"}
@@ -249,7 +258,7 @@ class TestMainEntry:
                          "--density-step", "2", "--policy", "fixed", "--range", "600",
                          "--trials", "10", "--method", "oracle", "--output", str(out)])
         assert code == 0
-        assert len(read_csv(out)) == 3
+        assert len(read_rows(out)) == 3
 
     @pytest.mark.parametrize("command", ["single", "sweep", "analytic", "compare"])
     def test_verbose_only_adds_stderr_lines(self, command, tmp_path, capsys):
@@ -368,6 +377,15 @@ class TestMainEntry:
         code = cli.main(command + [str(tmp_path / "out"), "--workers", workers])
         assert code == 2
         assert f"config error: workers must be >= 1, got {workers}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_seed_outside_64_bits_is_config_error(self, tmp_path, capsys):
+        # seed -1 would run the streams of seed 2**64 - 1
+        code = cli.main(["sweep", "--density", "10", "--policy", "fixed", "--range", "750",
+                         "--trials", "5", "--method", "oracle", "--seed", "-1",
+                         "--output", str(tmp_path / "out.csv")])
+        assert code == 2
+        assert "config error: master_seed" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("key, override", [

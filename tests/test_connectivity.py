@@ -1,10 +1,11 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from vanetconn import cli, graphs, montecarlo, ranges, traffic
+from vanetconn import cli, connectivity, graphs, montecarlo, ranges, traffic
 from vanetconn.connectivity import (
     AnalyticModel,
     analytic_pc,
@@ -124,6 +125,17 @@ class TestSpectral:
         with pytest.raises(ValueError):
             eigenvalues_symmetric(not_lap)
 
+    @pytest.mark.parametrize("entries, reason", [
+        ([[0.0]], "symmetric matrix of at least 2x2"),
+        ([[1.0, -1.0], [0.0, 0.0]], "symmetric matrix of at least 2x2"),
+        (np.eye(3), "D - A"),
+        ([[0.5, -0.5], [-0.5, 0.5]], "D - A"),  # a link weight other than 1
+        ([[-1.0, 0.0], [0.0, -1.0]], "D - A"),  # a negative degree
+    ], ids=["1x1", "asymmetric", "eye3", "weighted", "negative_diagonal"])
+    def test_connected_verdict_refuses_non_laplacians(self, entries, reason):
+        with pytest.raises(ValueError, match=reason):
+            is_connected_laplacian(graphs.Laplacian(np.array(entries)))
+
 
 def two_cliques(n, bridged):
     """Two complete halves of an n-vehicle graph, joined by one edge or not."""
@@ -182,6 +194,23 @@ class TestInertiaAtLargeN:
         assert np.array_equal(symmetrize(upward).entries, a.entries)
         verdicts = montecarlo._dense_rows(x[None], r[None], ["laplacian"])
         assert verdicts["laplacian"].tolist() == [oracle_components(a) == 1]
+
+
+def test_stacked_cholesky_leaves_nan_in_failed_matrix_only():
+    # every laplacian verdict relies on numpy's private gufunc:
+    # a stack with a matrix that is not positive definite neither raises nor
+    # warns under errstate(invalid="ignore"), and only that matrix is NaN
+    definite = np.array([[4.0, 2.0, 0.0], [2.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
+    singular = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(invalid="ignore"):
+            factor = connectivity._umath_linalg.cholesky_lo(
+                np.stack((definite, singular, definite)), signature="d->d")
+    assert np.isnan(factor[1]).all()
+    assert not np.isnan(factor[[0, 2]]).any()
+    assert np.allclose(factor[0], np.linalg.cholesky(definite))
+    assert np.array_equal(factor[0], factor[2])
 
 
 class TestBoolPower:

@@ -1,15 +1,15 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
 
-from vanetconn import montecarlo
+from vanetconn import connectivity, montecarlo
 from vanetconn.connectivity import (
     AnalyticModel,
     analytic_pc,
+    component_count,
+    eigenvalues_symmetric,
     is_connected_exponent,
-    is_connected_laplacian,
     oracle_components,
 )
 from vanetconn.graphs import build_adjacency, laplacian, project, symmetrize
@@ -101,10 +101,18 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize("trials, seed, field", [
         (2.5, 1, "trials"), (True, 1, "trials"), ("10", 1, "trials"), (10, 1.5, "master_seed"),
+        pytest.param(10 ** 5000, 1, "trials", id="10**5000-1-trials"),
+        (10, -1, "master_seed"), (10, 2 ** 64, "master_seed"),
     ])
     def test_rejects_non_integer_trials_and_seed(self, trials, seed, field):
         with pytest.raises(ValueError, match=field):
             fixed_spec(trials=trials, seed=seed)
+
+    def test_master_seed_spans_64_bits(self):
+        # trial_seed keeps 64 bits of the master seed, so -1 or 2**64 + 7
+        # would replay the streams of 2**64 - 1 or 7
+        for seed in (0, 2 ** 64 - 1):
+            assert fixed_spec(seed=seed).master_seed == seed
 
     def test_numpy_integers_run_as_ints(self):
         spec = fixed_spec(trials=np.int64(20), seed=np.uint32(7))
@@ -454,7 +462,8 @@ class TestTrialBlocks:
     def test_dense_block_verdicts_equal_single_snapshot_route(self, direction, policy):
         # N = 20 on 4 km: a dense sub-block stacks 40 rows, so 60 trials make a
         # full and a partial one; N = 100, 173 and 250 on 10 km: one row each.
-        # The run path factors, the single-snapshot route takes the spectrum.
+        # The laplacian reference counts the spectrum's zero eigenvalues, a
+        # route independent of the stacked kernel that both verdicts call.
         assert montecarlo.BLOCK_ELEMENTS // 20 ** 2 == 40
         outcomes = set()
         for segment, densities in ((4_000.0, (5.0,)), (10_000.0, (10.0, 17.3, 25.0))):
@@ -473,13 +482,15 @@ class TestTrialBlocks:
 
     @staticmethod
     def _single_snapshot_verdicts(direction, policy, gaps, ranges):
-        """Per-row verdicts of the public one-snapshot route."""
+        """Per-row verdicts of one snapshot at a time: ``laplacian`` as a
+        spectrum with one zero eigenvalue, ``exponent`` by ``is_connected_exponent``."""
         reference = {"laplacian": [], "exponent": []}
         for g, r in zip(gaps, ranges):
             full = build_adjacency(spacing_matrix(HeadwayVector(g)), RangeAssignment(r))
             graph = full if direction == "undirected" else project(full, "upward")
             spectral_graph = full if direction == "undirected" else symmetrize(graph)
-            reference["laplacian"].append(is_connected_laplacian(laplacian(spectral_graph)))
+            spectral = eigenvalues_symmetric(laplacian(spectral_graph))
+            reference["laplacian"].append(component_count(spectral) == 1)
             reference["exponent"].append(is_connected_exponent(graph))
             if isinstance(policy, FixedRange):
                 assert reference["laplacian"][-1] == reference["exponent"][-1] \
@@ -488,13 +499,13 @@ class TestTrialBlocks:
 
     def test_dense_stage_stacks_rows_within_block_elements(self, monkeypatch):
         shapes = []
-        real = montecarlo._umath_linalg.cholesky_lo
+        real = connectivity._umath_linalg.cholesky_lo
 
         def recording(a, *args, **kwargs):
             shapes.append(a.shape)
             return real(a, *args, **kwargs)
 
-        monkeypatch.setattr(montecarlo._umath_linalg, "cholesky_lo", recording)
+        monkeypatch.setattr(connectivity._umath_linalg, "cholesky_lo", recording)
         sweep(fixed_spec(methods=("laplacian",), trials=512, densities=(2.0,)))  # N = 20
         assert any(len(shape) == 3 and shape[0] > 1 for shape in shapes)
         assert all(math.prod(shape) <= montecarlo.BLOCK_ELEMENTS for shape in shapes)
@@ -523,7 +534,7 @@ class TestTrialBlocks:
         # the pseudo-undirected spectrum sees exactly upward reachability
         assert disagreements[("oracle", "laplacian")] == 0
         assert 0 < counts["oracle"] < spec.trials
-        # and the run path's factorization agrees with it row by row
+        # and the run path's factorization agrees with the spectrum row by row
         rows = montecarlo._dense_rows(positions, ranges, ["laplacian"])["laplacian"]
         expected = self._single_snapshot_verdicts("upward", spec.policy, gaps, ranges)
         assert rows.tolist() == expected["laplacian"]
@@ -537,23 +548,6 @@ class TestTrialBlocks:
         for (a, b), count in disagreements.items():
             assert count == sum(r[a] != r[b] for r in records)
         return counts, disagreements
-
-
-def test_stacked_cholesky_leaves_nan_in_failed_matrix_only():
-    # the run path's laplacian verdict relies on numpy's private gufunc:
-    # a stack with a matrix that is not positive definite neither raises nor
-    # warns under errstate(invalid="ignore"), and only that matrix is NaN
-    definite = np.array([[4.0, 2.0, 0.0], [2.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
-    singular = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with np.errstate(invalid="ignore"):
-            factor = montecarlo._umath_linalg.cholesky_lo(
-                np.stack((definite, singular, definite)), signature="d->d")
-    assert np.isnan(factor[1]).all()
-    assert not np.isnan(factor[[0, 2]]).any()
-    assert np.allclose(factor[0], np.linalg.cholesky(definite))
-    assert np.array_equal(factor[0], factor[2])
 
 
 class TestInProcessBlasThreads:

@@ -92,7 +92,8 @@ FIELD_BUILDERS = {
     "segment_length_m": lambda v: ExperimentSpec((5.0,), v, FixedRange(750.0),
                                                  ("chain",), "undirected", 5, 1),
 }
-WRONG_VALUES = {"True": True, "'750'": "750", "None": None, "10**400": 10 ** 400, "nan": math.nan}
+WRONG_VALUES = {"True": True, "'750'": "750", "None": None, "10**400": 10 ** 400,
+                "10**5000": 10 ** 5000, "nan": math.nan}
 # True is a valid exact_count, so that field gets 1 and "no" instead
 WRONG_FIELD_VALUES = [
     pytest.param(field, value, id=f"{field}={name}")
@@ -137,7 +138,8 @@ class TestValidation:
     @pytest.mark.parametrize("field, value", WRONG_FIELD_VALUES)
     def test_each_field_refuses_wrong_values_by_name(self, field, value):
         # the types own their value rules: a bool, a string, None, an int too
-        # large for a float and NaN are refused with the field named first
+        # large for a float (or to print) and NaN are refused with the field
+        # named first
         with pytest.raises(ValueError) as refusal:
             FIELD_BUILDERS[field](value)
         assert str(refusal.value).startswith(f"{field}:")
