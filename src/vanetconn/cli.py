@@ -23,7 +23,7 @@ from .montecarlo import (
     ExperimentSpec,
 )
 from .ranges import FixedRange, TwoTierRange, UniformRange
-from .traffic import check_positive
+from .traffic import check_count, check_positive
 
 CSV_HEADER = "density_per_km,method,range_policy,p_hat,stderr,trials,master_seed"
 OUTPUT_DIR_ENV = "VANETCONN_OUTPUT_DIR"
@@ -54,7 +54,7 @@ class RunConfig(ExperimentSpec):
 
     def __post_init__(self):
         super().__post_init__()
-        montecarlo.check_workers(self.workers)
+        object.__setattr__(self, "workers", check_count("workers", self.workers, 1))
 
 
 # --- config assembly ---------------------------------------------------------
@@ -76,14 +76,12 @@ def _densities_from_raw(raw, key="densities_per_km"):
         step = check_positive(f"{key}.step", raw.get("step", 1))
         if stop < start:
             raise ConfigError(f"{key}: stop {stop:g} is below start {start:g}")
-        values = []
-        k = 0
-        while True:
-            value = start + k * step
-            if value > stop + 1e-9:
-                break
-            values.append(value)
-            k += 1
+        if (stop + 1e-9 - start) / step >= 2 ** 32:  # trial_seed keeps 32 bits of the index
+            raise ConfigError(f"{key}: step {step:g} makes over 2**32 grid points from "
+                              f"{start:g} to {stop:g}; the seed would reuse streams")
+        values = [start]
+        while start + len(values) * step <= stop + 1e-9:
+            values.append(start + len(values) * step)
         return tuple(values)
     if isinstance(raw, (list, tuple)):
         return raw
@@ -274,7 +272,7 @@ def run_figure_preset(name: str, master_seed: int = DEFAULT_MASTER_SEED,
     fig6: upward uniform random ranges, means 500/750/1000 m, std 100 m.
     """
     try:
-        montecarlo.check_workers(workers)
+        check_count("workers", workers, 1)
         specs = list(_preset_specs(name, master_seed, trials_traversal, trials_spectral))
     except ValueError as err:
         raise ConfigError(str(err)) from None
@@ -424,15 +422,10 @@ def _cmd_single(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    """``sweep``, and ``analytic``, whose config holds no trial method."""
     cfg = _config(args)
-    _announce("sweep", (cfg,), args.verbose)
+    _announce(args.command, (cfg,), args.verbose)
     return _report(montecarlo.sweep(cfg, workers=cfg.workers), cfg.output)
-
-
-def _cmd_analytic(args) -> int:
-    cfg = _config(args)
-    _announce("analytic", (cfg,), args.verbose)
-    return _report(montecarlo.sweep(cfg), cfg.output)
 
 
 def _cmd_figure(args) -> int:
@@ -521,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text, handler in (
         ("single", "estimate at one density", _cmd_single),
         ("sweep", "estimate over a density grid", _cmd_sweep),
-        ("analytic", "closed-form curves only (no trials)", _cmd_analytic),
+        ("analytic", "closed-form curves only (no trials)", _cmd_sweep),
         ("compare", "per-realization method agreement audit", _cmd_compare),
     ):
         p = sub.add_parser(name, help=help_text)

@@ -28,7 +28,7 @@ from numpy.linalg import _umath_linalg
 
 from .graphs import DIRECTION_UPWARD, Adjacency, Laplacian, laplacian
 from .ranges import FixedRange, RangeAssignment, RangePolicy, TwoTierRange, UniformRange
-from .traffic import HeadwayVector
+from .traffic import HeadwayVector, check_count, check_positive
 
 # A Laplacian eigenvalue counts as zero below _ZERO_TOLERANCE_FACTOR * n * eps
 # * (max degree).  The symmetric eigensolver errs by a small multiple of
@@ -133,9 +133,7 @@ def _bool_power(entries: np.ndarray, k: int, rows=slice(None)) -> np.ndarray:
 
 def bool_power_reach(a: Adjacency, k: int) -> np.ndarray:
     """Boolean matrix of exact-length-k walk existence."""
-    if k < 1:
-        raise ValueError(f"walk length must be >= 1, got {k}")
-    return _bool_power(a.entries, k)
+    return _bool_power(a.entries, check_count("k", k, 1))
 
 
 def is_connected_exponent(a: Adjacency) -> bool:
@@ -288,12 +286,10 @@ class AnalyticModel:
     vehicle_count: int
 
     def __post_init__(self):
-        if self.density <= 0:
-            raise ValueError(f"density must be > 0, got {self.density}")
-        if self.comm_range <= 0:
-            raise ValueError(f"comm_range must be > 0, got {self.comm_range}")
-        if self.vehicle_count < 2:
-            raise ValueError(f"vehicle_count must be >= 2, got {self.vehicle_count}")
+        for name in ("density", "comm_range"):
+            object.__setattr__(self, name, check_positive(name, getattr(self, name)))
+        object.__setattr__(self, "vehicle_count",
+                           check_count("vehicle_count", self.vehicle_count, 2))
 
 
 def analytic_pc(model: AnalyticModel) -> float:
@@ -333,8 +329,7 @@ def analytic_pc_chain_mixed(density: float, n: int, policy: RangePolicy) -> floa
     if isinstance(policy, FixedRange):
         raise TypeError("chain closed form is for mixed-range policies; "
                         "use analytic_pc for a fixed range")
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    density, n = check_positive("density", density), check_count("n", n, 2)
     if isinstance(policy, TwoTierRange) and policy.exact_count:
         k = policy.high_count(n)
         f_low = headway_cdf(density, policy.range_low_m)
@@ -352,10 +347,7 @@ def min_range_for_target(density: float, n: int, target_pc: float) -> float:
     R = -ln(1 - target^(1/(n-1))) / density."""
     if not 0.0 < target_pc < 1.0:
         raise ValueError(f"target_pc must lie strictly inside (0, 1), got {target_pc}")
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if density <= 0:
-        raise ValueError(f"density must be > 0, got {density}")
+    density, n = check_positive("density", density), check_count("n", n, 2)
     log_f = math.log(target_pc) / (n - 1)
     # 1 - t^(1/(n-1)) = -expm1(log_f), kept in expm1/log form for precision
     return -math.log(-math.expm1(log_f)) / density

@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -36,8 +35,9 @@ from .connectivity import (
     line_reachable_rows,
 )
 from .graphs import DIRECTION_UPWARD
-from .ranges import FixedRange, RangePolicy, check_ranges, draw_ranges, mean_range, policy_label
-from .traffic import check_positive, headway_gaps, shown, vehicle_count, vehicle_positions
+from .ranges import FixedRange, RangePolicy, draw_ranges, mean_range, policy_label
+from .traffic import (check_count, check_positive, check_positive_array, headway_gaps, shown,
+                      vehicle_count, vehicle_positions)
 
 TRIAL_METHODS = ("laplacian", "exponent", "oracle", "chain")
 # Trial methods that judge n x n matrices.
@@ -157,11 +157,8 @@ class ExperimentSpec:
         object.__setattr__(self, "segment_length_m",
                            check_positive("segment_length_m", self.segment_length_m))
         object.__setattr__(self, "methods", tuple(self.methods))
-        for name in ("trials", "master_seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+        object.__setattr__(self, "trials", check_count("trials", self.trials, 1))
+        object.__setattr__(self, "master_seed", check_count("master_seed", self.master_seed, 0))
         if not self.densities_per_km:
             raise ValueError("densities_per_km: the density grid must not be empty")
         if not self.methods:
@@ -171,20 +168,19 @@ class ExperimentSpec:
                 raise ValueError(f"methods[{i}]: unknown method {method!r}; "
                                  f"valid: {sorted(VALID_METHODS)}")
         if len(set(self.methods)) != len(self.methods):
-            raise ValueError("duplicate methods in spec")
+            raise ValueError(f"methods: each method may appear once, got {list(self.methods)}")
         if self.direction not in DIRECTIONS:
-            raise ValueError(f"direction must be one of {DIRECTIONS}, got {self.direction!r}")
+            raise ValueError(f"direction: expected one of {DIRECTIONS}, "
+                             f"got {shown(self.direction)}")
         if self.direction == DIRECTION_UNDIRECTED and not isinstance(self.policy, FixedRange):
             raise ValueError("undirected analysis requires a fixed range policy; "
                              "mixed ranges make the network directed")
         if "analytic-chain" in self.methods and isinstance(self.policy, FixedRange):
             raise ValueError("analytic-chain applies to mixed-range policies only")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.trials > 1 << 32:  # trial_seed would reuse streams
             raise ValueError(f"trials must be <= 2**32 (the seed keeps 32 bits of the "
                              f"trial index), got {shown(self.trials)}")
-        if not 0 <= self.master_seed <= _MASK64:  # others would reuse these seeds' streams
+        if self.master_seed > _MASK64:  # others would reuse these seeds' streams
             raise ValueError(f"master_seed: must be in [0, 2**64), got {shown(self.master_seed)}")
         dense = [m for m in self.methods if m in DENSE_METHODS]
         n = vehicle_count(max(self.densities_per_km) / 1000.0, self.segment_length_m)
@@ -246,8 +242,7 @@ def _realizations(spec: ExperimentSpec, density_index: int, trials: range):
         rng = np.random.Generator(np.random.PCG64(_SeedWords(words)))
         rng.random(out=uniforms[row])
         draw_ranges(spec.policy, rng, ranges[row])
-    check_ranges(ranges)
-    return headway_gaps(uniforms, density_m), ranges
+    return headway_gaps(uniforms, density_m), check_positive_array("ranges", ranges)
 
 
 def _verdicts(spec: ExperimentSpec, gaps: np.ndarray, ranges: np.ndarray,
@@ -291,9 +286,11 @@ def _dense_rows(positions: np.ndarray, ranges: np.ndarray, methods: list) -> dic
 def run_trial(spec: ExperimentSpec, density_index: int, trial_index: int) -> TrialRecord:
     """Evaluate every requested trial method on one shared realization: a
     block of one trial."""
-    if not 0 <= density_index < len(spec.densities_per_km):
+    density_index = check_count("density_index", density_index, 0)
+    trial_index = check_count("trial_index", trial_index, 0)
+    if density_index >= len(spec.densities_per_km):
         raise IndexError(f"density index {density_index} outside the grid")
-    if not 0 <= trial_index < spec.trials:
+    if trial_index >= spec.trials:
         raise IndexError(f"trial index {trial_index} outside 0..{spec.trials - 1}")
     gaps, ranges = _realizations(spec, density_index, range(trial_index, trial_index + 1))
     digest = hashlib.blake2b(gaps[0].tobytes() + ranges[0].tobytes(), digest_size=16).hexdigest()
@@ -360,11 +357,6 @@ def _one_blas_thread():
         set_threads(1)
 
 
-def check_workers(workers: int) -> None:
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-
-
 @contextmanager
 def _pool(specs: tuple, workers: int):
     """One process pool for all cells of all the specs, or None when it could
@@ -378,7 +370,7 @@ def _pool(specs: tuple, workers: int):
     methods' sizes more threads only spin (an N = 100 eigvalsh took 0.6 ms
     or 3.1 ms with default threads).  The caller's thread count is restored.
     """
-    check_workers(workers)
+    workers = check_count("workers", workers, 1)
     chunks = max((math.ceil(s.trials / CHUNK_SIZE) for s in specs if s.trial_methods), default=0)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     processes = min(workers, chunks, cpus or 1)
@@ -452,7 +444,8 @@ def _estimate_rows(spec: ExperimentSpec, density_index: int,
 
 def estimate(spec: ExperimentSpec, density_index: int, workers: int = 1):
     """Connectivity estimates (one per method) at a single grid point."""
-    if not 0 <= density_index < len(spec.densities_per_km):
+    density_index = check_count("density_index", density_index, 0)
+    if density_index >= len(spec.densities_per_km):
         raise IndexError(f"density index {density_index} outside the grid")
     with _pool((spec,), workers) as executor:
         return _estimate_rows(spec, density_index, executor)
@@ -474,7 +467,8 @@ def compare_methods(spec: ExperimentSpec, workers: int = 1):
     """Per-density, per-pair counts of realizations on which the requested
     trial methods disagree.  Needs at least two trial-based methods."""
     if len(spec.trial_methods) < 2:
-        raise ValueError("method comparison needs at least two trial-based methods")
+        raise ValueError(f"methods: a comparison needs at least two trial methods, "
+                         f"got {list(spec.trial_methods)}")
     rows = []
     with _pool((spec,), workers) as executor:
         for density_index, density_per_km in enumerate(spec.densities_per_km):

@@ -14,7 +14,7 @@ from typing import Union
 
 import numpy as np
 
-from .traffic import check_positive, shown
+from .traffic import check_count, check_positive, check_positive_array, shown
 
 _SQRT3 = math.sqrt(3.0)
 _MOMENT_RTOL = 1e-9
@@ -132,17 +132,11 @@ class RangeAssignment:
         ranges = np.asarray(self.ranges, dtype=np.float64)
         if ranges.ndim != 1 or ranges.size < 1:
             raise ValueError("ranges must be a non-empty 1-D array")
-        check_ranges(ranges)
-        object.__setattr__(self, "ranges", ranges)
+        object.__setattr__(self, "ranges", check_positive_array("ranges", ranges))
 
     @property
     def vehicle_count(self) -> int:
         return self.ranges.size
-
-
-def check_ranges(ranges: np.ndarray) -> None:
-    if not np.all(ranges > 0):
-        raise ValueError("all ranges must be > 0")
 
 
 def draw_ranges(policy: RangePolicy, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
@@ -172,17 +166,14 @@ def draw_ranges(policy: RangePolicy, rng: np.random.Generator, out: np.ndarray) 
 
 def assign_ranges(policy: RangePolicy, n: int, rng: np.random.Generator) -> RangeAssignment:
     """Draw one communication range per vehicle under the given policy."""
-    if n < 2:
-        raise ValueError(f"need at least 2 vehicles, got {n}")
-    return RangeAssignment(draw_ranges(policy, rng, np.empty(n)))
+    return RangeAssignment(draw_ranges(policy, rng, np.empty(check_count("n", n, 2))))
 
 
 def power_proxy(assignment: RangeAssignment, path_loss_exponent: float) -> float:
     """Mean of range^alpha over vehicles: per-vehicle transmit power up to a
     propagation constant."""
-    if path_loss_exponent <= 0:
-        raise ValueError(f"path_loss_exponent must be > 0, got {path_loss_exponent}")
-    return float(np.mean(assignment.ranges ** path_loss_exponent))
+    alpha = check_positive("path_loss_exponent", path_loss_exponent)
+    return float(np.mean(assignment.ranges ** alpha))
 
 
 def mean_range(policy: RangePolicy) -> float:

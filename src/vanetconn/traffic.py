@@ -39,6 +39,26 @@ def check_positive(name: str, value) -> float:
     return number
 
 
+def check_count(name: str, value, minimum: int) -> int:
+    """The value as an int; refuses a bool, a non-integer (2.5, "2") and a
+    value below ``minimum``, in a message led by ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {shown(value)}")
+    if int(value) < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {shown(value)}")
+    return int(value)
+
+
+def check_positive_array(name: str, values: np.ndarray) -> np.ndarray:
+    """The float array itself; refuses one with an entry that is NaN, +-inf or
+    <= 0, in a message led by ``name``.  Two reductions and no temporary:
+    min > 0 and max < inf are both false where an entry is NaN."""
+    if values.size and not (values.min() > 0 and values.max() < np.inf):
+        bad = values[~(values > 0) | (values == np.inf)].flat[0]
+        raise ValueError(f"{name}: expected finite positive entries, got {bad}")
+    return values
+
+
 def shown(value) -> str:
     """``repr`` of a value for a message, but of an int over 1,000 bits (any int
     too large for a float) its digit count; Python prints none over 4,300 digits."""
@@ -88,8 +108,7 @@ class HeadwayVector:
         gaps = np.asarray(self.gaps, dtype=np.float64)
         if gaps.ndim != 1 or gaps.size == 0:
             raise ValueError("gaps must be a non-empty 1-D array")
-        _check_gaps(gaps)
-        object.__setattr__(self, "gaps", gaps)
+        object.__setattr__(self, "gaps", check_positive_array("gaps", gaps))
 
     @property
     def vehicle_count(self) -> int:
@@ -99,11 +118,6 @@ class HeadwayVector:
     def positions(self) -> np.ndarray:
         """Cumulative vehicle positions in meters, the first vehicle at 0."""
         return vehicle_positions(self.gaps)
-
-
-def _check_gaps(gaps: np.ndarray) -> None:
-    if not np.all(gaps > 0):
-        raise ValueError("all gaps must be strictly positive")
 
 
 def headway_gaps(uniforms: np.ndarray, density: float) -> np.ndarray:
@@ -116,8 +130,7 @@ def headway_gaps(uniforms: np.ndarray, density: float) -> np.ndarray:
     """
     raw = -np.log(1.0 - uniforms) / density
     gaps = np.maximum(SPACING_QUANTUM_M, np.ceil(raw / SPACING_QUANTUM_M) * SPACING_QUANTUM_M)
-    _check_gaps(gaps)
-    return gaps
+    return check_positive_array("gaps", gaps)
 
 
 def vehicle_positions(gaps: np.ndarray) -> np.ndarray:

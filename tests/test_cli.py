@@ -36,6 +36,8 @@ MINIMAL = {
     "densities_per_km": [5, 10, 15],
     "range_policy": {"type": "fixed", "range_m": 750},
 }
+# a config that runs in milliseconds, for the refusal cases to override
+QUICK = dict(MINIMAL, trials=5, methods=["chain"])
 
 
 class TestParseConfig:
@@ -166,6 +168,12 @@ class TestEmitCsv:
         parsed = read_rows(emit_csv(rows, tmp_path / "e.csv"))
         assert [(r["density_per_km"], r["method"]) for r in parsed] == [
             ("4", "chain"), ("4", "oracle"), ("12", "oracle")]
+
+    def test_discrete_support_label(self, tmp_path):
+        spec = ExperimentSpec((10.0,), 10_000.0, UniformRange(750.0, 100.0, support=[650, 850]),
+                              ("analytic",), "upward", 25, 1)
+        parsed = read_rows(emit_csv(sweep(spec), tmp_path / "g.csv"))
+        assert [r["range_policy"] for r in parsed] == ["uniform:mean=750:std=100:levels=2"]
 
     def test_empty_table_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -430,6 +438,55 @@ class TestMainEntry:
                                         methods=["chain"])))
         assert cli.main(["sweep", "--config", str(path), "--output", str(out)]) == 2
         assert f"config error: {key}:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, config, argv, key", [
+        ("sweep", dict(QUICK, densities_per_km={"start": 2, "stop": 5, "by": 1}), [],
+         "densities_per_km:"),
+        ("sweep", dict(QUICK, densities_per_km={"stop": 5}), [], "densities_per_km.start:"),
+        ("sweep", dict(QUICK, densities_per_km={"start": 5, "stop": 2}), [], "densities_per_km:"),
+        ("sweep", dict(QUICK, densities_per_km=5), [], "densities_per_km:"),
+        ("sweep", QUICK, ["--density-start", "2"], "densities_per_km:"),
+        ("sweep", dict(QUICK, range_policy=750), [], "range_policy:"),
+        ("sweep", dict(QUICK, range_policy={"type": "fixd"}), [], "range_policy.type:"),
+        ("sweep", dict(QUICK, range_policy={"type": "two_tier", "range_low_m": 500,
+                                            "range_high_m": 1000}), [],
+         "range_policy.fraction_high:"),
+        ("sweep", {k: v for k, v in QUICK.items() if k != "range_policy"}, [], "range_policy:"),
+        ("sweep", dict(QUICK, range_policy={"type": "uniform", "mean_m": 750, "std_m": 100,
+                                            "support": [750]}), [], "range_policy.support:"),
+        ("sweep", dict(QUICK, range_policy={"type": "uniform", "mean_m": 750, "std_m": 100,
+                                            "support": [700, 900]}), [], "range_policy.support:"),
+        ("sweep", [1, 2], [], "config file"),
+        ("sweep", dict(QUICK, methods=[]), [], "methods:"),
+        ("single", QUICK, ["--density", "5", "--density", "10"], "densities_per_km:"),
+        ("compare", QUICK, [], "methods:"),
+        ("sweep", dict(QUICK, methods=["oracle", "oracle"]), [], "methods:"),
+        ("sweep", dict(QUICK, direction="sideways"), [], "direction:"),
+    ], ids=["grid-unknown-key", "grid-no-start", "grid-stop-below-start", "grid-number",
+            "density-start-alone", "policy-number", "policy-unknown-type",
+            "two-tier-no-fraction", "no-policy", "support-one-level", "support-wrong-mean",
+            "file-not-object", "methods-empty", "single-two-densities", "compare-one-method",
+            "methods-duplicate", "direction-unknown"])
+    def test_refusal_names_its_key(self, command, config, argv, key, tmp_path, capsys):
+        path, out = tmp_path / "run.json", tmp_path / "out.csv"
+        path.write_text(json.dumps(config))
+        assert cli.main([command, "--config", str(path), "--output", str(out)] + argv) == 2
+        assert f"config error: {key}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid, argv", [
+        ({"start": 1, "stop": 2, "step": 1e-300}, []),
+        ([5], ["--density-start", "1", "--density-stop", "2", "--density-step", "1e-300"]),
+    ], ids=["json", "flags"])
+    def test_grid_past_seed_streams_is_config_error(self, grid, argv, tmp_path, capsys):
+        # trial_seed keeps 32 bits of the grid index; this grid would also
+        # never finish building, since the step does not move the start
+        path, out = tmp_path / "run.json", tmp_path / "out.csv"
+        path.write_text(json.dumps(dict(QUICK, densities_per_km=grid)))
+        assert cli.main(["sweep", "--config", str(path), "--output", str(out)] + argv) == 2
+        assert "config error: densities_per_km: step 1e-300 makes over 2**32 grid points" \
+            in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("policy, unknown", [
