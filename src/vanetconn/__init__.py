@@ -8,14 +8,11 @@ from .connectivity import (
     SpectralResult,
     analytic_pc,
     analytic_pc_chain_mixed,
-    bool_power_reach,
     component_count,
     consecutive_chain,
     eigenvalues_symmetric,
     is_connected_exponent,
     is_connected_laplacian,
-    line_chain,
-    line_reachable,
     min_range_for_target,
     oracle_components,
     oracle_reachable,
@@ -27,7 +24,6 @@ from .montecarlo import (
     MethodDisagreement,
     TrialRecord,
     compare_methods,
-    estimate,
     run_trial,
     sweep,
 )
@@ -51,4 +47,4 @@ from .traffic import (
     vehicle_count,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

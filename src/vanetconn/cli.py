@@ -144,17 +144,18 @@ def parse_config(file_config: dict | None = None, flags=None) -> RunConfig:
     cfg = dict(file_config or {})
     args = flags or argparse.Namespace()
 
+    grid = {key: getattr(args, f"density_{key}", None) for key in ("start", "stop", "step")}
+    grid = {key: value for key, value in grid.items() if value is not None}
     if getattr(args, "density", None):
+        if grid:
+            raise ConfigError("densities_per_km: --density excludes the --density-start, "
+                              "--density-stop and --density-step grid flags")
         cfg["densities_per_km"] = list(args.density)
-    elif getattr(args, "density_start", None) is not None \
-            or getattr(args, "density_stop", None) is not None:
-        if args.density_start is None or args.density_stop is None:
+    elif grid:
+        if "start" not in grid or "stop" not in grid:
             raise ConfigError("densities_per_km: both --density-start and --density-stop "
                               "are required for a range grid")
-        cfg["densities_per_km"] = {
-            "start": args.density_start, "stop": args.density_stop,
-            "step": args.density_step if args.density_step is not None else 1,
-        }
+        cfg["densities_per_km"] = grid
     cfg["range_policy"] = _flag_policy(args, cfg.get("range_policy"))
     for key in ("segment_length_m", "trials", "master_seed", "direction"):
         value = getattr(args, key, None)
@@ -414,7 +415,7 @@ def _cmd_single(args) -> int:
     if len(cfg.densities_per_km) != 1:
         raise ConfigError("densities_per_km: the single command takes exactly one density")
     _announce("single", (cfg,), args.verbose)
-    rows = montecarlo.estimate(cfg, 0, workers=cfg.workers)
+    rows = montecarlo.sweep(cfg, workers=cfg.workers)
     _print_estimates(rows)
     if cfg.output:
         print(f"wrote {emit_csv(rows, cfg.output)}")

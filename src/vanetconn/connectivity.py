@@ -10,12 +10,14 @@ Four independent routes are provided on purpose so they can check each other:
   reachability,
 * closed-form models for the fixed-range and per-gap chain events.
 
-The line kernels ``line_chain`` and ``line_reachable`` give the traversal and
-chain verdicts in O(n) straight from the gaps and ranges.  Vehicles sit on a
-line and a transmitter that reaches a vehicle also reaches every vehicle in
-between, so the set reached from the first vehicle is always a prefix and a
-break shows as a cut between neighbours (Dousse, Thiran & Hasler, INFOCOM
-2002).  The dense routes stay as the cross-checks.
+The line kernels ``line_chain_rows`` and ``line_reachable_rows`` give the
+traversal and chain verdicts in O(n) straight from the positions and ranges;
+they are the run path's ``oracle`` and ``chain``.  Vehicles sit on a line and a
+transmitter that reaches a vehicle also reaches every vehicle in between, so
+the set reached from the first vehicle is always a prefix and a break shows as
+a cut between neighbours (Dousse, Thiran & Hasler, INFOCOM 2002).  The dense
+union-find and breadth-first routes stay as the references they are checked
+against.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .graphs import DIRECTION_UPWARD, Adjacency, Laplacian, laplacian
-from .ranges import FixedRange, RangeAssignment, RangePolicy, TwoTierRange, UniformRange
-from .traffic import HeadwayVector, check_count, check_positive
+from .ranges import FixedRange, RangePolicy, TwoTierRange, UniformRange
+from .traffic import check_count, check_positive
 
 # A Laplacian eigenvalue counts as zero below _ZERO_TOLERANCE_FACTOR * n * eps
 # * (max degree).  The symmetric eigensolver errs by a small multiple of
@@ -131,11 +133,6 @@ def _bool_power(entries: np.ndarray, k: int, rows=slice(None)) -> np.ndarray:
     return result > 0.0
 
 
-def bool_power_reach(a: Adjacency, k: int) -> np.ndarray:
-    """Boolean matrix of exact-length-k walk existence."""
-    return _bool_power(a.entries, check_count("k", k, 1))
-
-
 def is_connected_exponent(a: Adjacency) -> bool:
     """End-to-end verdict from the (n-1)th adjacency power: a walk of exactly
     n-1 links from the first vehicle to the last."""
@@ -214,39 +211,21 @@ def consecutive_chain(a: Adjacency) -> bool:
 # --- O(n) line kernels --------------------------------------------------------
 
 
-def _line_inputs(headways: HeadwayVector, assignment: RangeAssignment):
-    if headways.vehicle_count != assignment.vehicle_count:
-        raise ValueError(
-            f"dimension mismatch: {headways.vehicle_count} vehicles in headways, "
-            f"{assignment.vehicle_count} ranges"
-        )
-    return headways.positions[None], assignment.ranges[None]
-
-
-def line_chain(headways: HeadwayVector, assignment: RangeAssignment) -> bool:
-    """Consecutive-chain event in O(n): every spacing S[i, i+1] <= R_i.
+def line_chain_rows(positions: np.ndarray, ranges: np.ndarray) -> np.ndarray:
+    """Consecutive-chain event of each row of (rows, n) positions and ranges
+    in O(n): every spacing S[i, i+1] <= R_i.
 
     With one fixed range this is also undirected connectivity: a spacing
     wider than R cuts the line, since no link can span a wider gap.
     Equals ``consecutive_chain`` of the dense upward adjacency.
     """
-    return bool(line_chain_rows(*_line_inputs(headways, assignment))[0])
-
-
-def line_reachable(headways: HeadwayVector, assignment: RangeAssignment) -> bool:
-    """Upward reachability of the last vehicle from the first in O(n).
-    Equals ``oracle_reachable`` of the dense upward adjacency from 0 to n - 1.
-    """
-    return bool(line_reachable_rows(*_line_inputs(headways, assignment))[0])
-
-
-def line_chain_rows(positions: np.ndarray, ranges: np.ndarray) -> np.ndarray:
-    """``line_chain`` of each row of (rows, n) positions and ranges."""
     return (positions[:, 1:] - positions[:, :-1] <= ranges[:, :-1]).all(axis=1)
 
 
 def line_reachable_rows(positions: np.ndarray, ranges: np.ndarray) -> np.ndarray:
-    """``line_reachable`` of each row of (rows, n) positions and ranges.
+    """Upward reachability of the last vehicle from the first, in O(n), for
+    each row of (rows, n) positions and ranges: ``oracle_reachable`` of the
+    dense upward adjacency from 0 to n - 1.
 
     Vehicle k is reached iff some i < k has S[i, k] <= R_i, that is iff the
     running maximum of x_i + R_i over i < k passes x_k.  The float sum can

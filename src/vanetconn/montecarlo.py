@@ -21,7 +21,6 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
 
 import numpy as np
 
@@ -39,9 +38,10 @@ from .ranges import FixedRange, RangePolicy, draw_ranges, mean_range, policy_lab
 from .traffic import (check_count, check_positive, check_positive_array, headway_gaps, shown,
                       vehicle_count, vehicle_positions)
 
-TRIAL_METHODS = ("laplacian", "exponent", "oracle", "chain")
-# Trial methods that judge n x n matrices.
+# Trial methods that judge n x n matrices, and those that judge the line in O(n).
 DENSE_METHODS = ("laplacian", "exponent")
+LINE_METHODS = ("oracle", "chain")
+TRIAL_METHODS = DENSE_METHODS + LINE_METHODS
 ANALYTIC_METHODS = ("analytic", "analytic-chain")
 VALID_METHODS = TRIAL_METHODS + ANALYTIC_METHODS
 
@@ -62,8 +62,10 @@ CHUNK_SIZE = 512
 BLOCK_ELEMENTS = 2 ** 14
 
 # Largest vehicle count the dense methods accept: each n x n float64 array
-# takes 8 n^2 bytes, 200 MB at this size.
+# takes 8 n^2 bytes, 200 MB at this size.  The line methods hold arrays of n
+# entries per trial, so their cap is its square: 200 MB per array as well.
 MAX_DENSE_VEHICLES = 5_000
+MAX_LINE_VEHICLES = MAX_DENSE_VEHICLES ** 2
 
 # OpenBLAS entry points that set its thread count, one per symbol flavour.
 _BLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
@@ -182,11 +184,12 @@ class ExperimentSpec:
                              f"trial index), got {shown(self.trials)}")
         if self.master_seed > _MASK64:  # others would reuse these seeds' streams
             raise ValueError(f"master_seed: must be in [0, 2**64), got {shown(self.master_seed)}")
-        dense = [m for m in self.methods if m in DENSE_METHODS]
         n = vehicle_count(max(self.densities_per_km) / 1000.0, self.segment_length_m)
-        if dense and n > MAX_DENSE_VEHICLES:
-            raise ValueError(f"methods {dense} build n x n arrays and are limited to "
-                             f"{MAX_DENSE_VEHICLES} vehicles; the grid reaches {n}")
+        for kind, cap in ((DENSE_METHODS, MAX_DENSE_VEHICLES), (LINE_METHODS, MAX_LINE_VEHICLES)):
+            capped = [m for m in self.methods if m in kind]
+            if capped and n > cap:
+                raise ValueError(f"methods {capped} are limited to {cap} vehicles (200 MB per "
+                                 f"float64 array); the grid reaches {n}")
 
     @property
     def trial_methods(self) -> tuple:
@@ -252,7 +255,7 @@ def _verdicts(spec: ExperimentSpec, gaps: np.ndarray, ranges: np.ndarray,
     dense = [m for m in methods if m in DENSE_METHODS]
     verdicts = _dense_rows(positions, ranges, dense) if dense else {}
     # with one fixed range a spacing wider than R cuts the line in both
-    # directions, so the oracle is the chain: one line_chain serves both
+    # directions, so the oracle is the chain: one line_chain_rows serves both
     fixed = isinstance(spec.policy, FixedRange)
     if "chain" in methods or (fixed and "oracle" in methods):
         chain = line_chain_rows(positions, ranges)
@@ -389,78 +392,55 @@ def _pool(specs: tuple, workers: int):
             set_threads(count)
 
 
-def _count_trials(spec: ExperimentSpec, density_index: int,
-                  executor: Optional[ProcessPoolExecutor]):
-    if not spec.trial_methods:
-        return {}, {}
-    chunks = [
-        (spec, density_index, start, min(start + CHUNK_SIZE, spec.trials))
-        for start in range(0, spec.trials, CHUNK_SIZE)
-    ]
-    counts = dict.fromkeys(spec.trial_methods, 0)
-    disagreements = dict.fromkeys(combinations(spec.trial_methods, 2), 0)
-    run = executor.map if executor else map
-    for chunk_counts, chunk_disagreements in run(_chunk_counts, chunks):
-        for m, c in chunk_counts.items():
-            counts[m] += c
-        for pair, c in chunk_disagreements.items():
-            disagreements[pair] += c
-    return counts, disagreements
-
-
-def _analytic_estimate(spec: ExperimentSpec, density_per_km: float, method: str) -> ConnectivityEstimate:
+def _estimate_rows(spec: ExperimentSpec, density_index: int, counts: dict):
+    """One estimate per method of the spec at one grid point: a closed form, or
+    the share of the cell's trials that the method judged connected."""
+    density_per_km = spec.densities_per_km[density_index]
     density_m = density_per_km / 1000.0
     n = vehicle_count(density_m, spec.segment_length_m)
-    if method == "analytic":
-        p = analytic_pc(AnalyticModel(density_m, mean_range(spec.policy), n))
-    else:
-        p = analytic_pc_chain_mixed(density_m, n, spec.policy)
-    return ConnectivityEstimate(
-        density_per_km=density_per_km, method=method, policy=policy_label(spec.policy),
-        p_hat=p, stderr=0.0, connected_count=0, trials=0, master_seed=spec.master_seed,
-    )
-
-
-def _estimate_rows(spec: ExperimentSpec, density_index: int,
-                   executor: Optional[ProcessPoolExecutor]):
-    density_per_km = spec.densities_per_km[density_index]
-    counts, _ = _count_trials(spec, density_index, executor)
-    label = policy_label(spec.policy)
     rows = []
     for method in spec.methods:
-        if method in ANALYTIC_METHODS:
-            rows.append(_analytic_estimate(spec, density_per_km, method))
-            continue
-        connected = counts[method]
-        p_hat = connected / spec.trials
-        stderr = math.sqrt(p_hat * (1.0 - p_hat) / spec.trials)
-        rows.append(ConnectivityEstimate(
-            density_per_km=density_per_km, method=method, policy=label,
-            p_hat=p_hat, stderr=stderr, connected_count=connected,
-            trials=spec.trials, master_seed=spec.master_seed,
-        ))
+        connected, trials = (counts[method], spec.trials) if method in counts else (0, 0)
+        if method == "analytic":
+            p_hat = analytic_pc(AnalyticModel(density_m, mean_range(spec.policy), n))
+        elif method == "analytic-chain":
+            p_hat = analytic_pc_chain_mixed(density_m, n, spec.policy)
+        else:
+            p_hat = connected / trials
+        stderr = math.sqrt(p_hat * (1.0 - p_hat) / trials) if trials else 0.0
+        rows.append(ConnectivityEstimate(density_per_km, method, policy_label(spec.policy),
+                                         p_hat, stderr, connected, trials, spec.master_seed))
     return rows
 
 
-def estimate(spec: ExperimentSpec, density_index: int, workers: int = 1):
-    """Connectivity estimates (one per method) at a single grid point."""
-    density_index = check_count("density_index", density_index, 0)
-    if density_index >= len(spec.densities_per_km):
-        raise IndexError(f"density index {density_index} outside the grid")
-    with _pool((spec,), workers) as executor:
-        return _estimate_rows(spec, density_index, executor)
+def _cells(specs: tuple, workers: int):
+    """(spec, density index, verdict counts, pair disagreement counts) of every
+    grid point of the specs, in order.  The trials of a cell run in chunks of
+    CHUNK_SIZE, all cells on one process pool; a spec without trial methods
+    yields empty counts."""
+    with _pool(specs, workers) as executor:
+        run = executor.map if executor else map
+        for spec in specs:
+            methods = spec.trial_methods
+            for density_index in range(len(spec.densities_per_km)):
+                counts = dict.fromkeys(methods, 0)
+                disagreements = dict.fromkeys(combinations(methods, 2), 0)
+                chunks = [(spec, density_index, start, min(start + CHUNK_SIZE, spec.trials))
+                          for start in range(0, spec.trials if methods else 0, CHUNK_SIZE)]
+                for chunk_counts, chunk_disagreements in run(_chunk_counts, chunks):
+                    for m, c in chunk_counts.items():
+                        counts[m] += c
+                    for pair, c in chunk_disagreements.items():
+                        disagreements[pair] += c
+                yield spec, density_index, counts, disagreements
 
 
 def sweep(*specs: ExperimentSpec, workers: int = 1):
     """Estimates over the whole density grid of each spec, in order, from one
     process pool; rows are independent and the table does not depend on
     scheduling or worker count."""
-    rows = []
-    with _pool(specs, workers) as executor:
-        for spec in specs:
-            for density_index in range(len(spec.densities_per_km)):
-                rows.extend(_estimate_rows(spec, density_index, executor))
-    return rows
+    return [row for spec, density_index, counts, _ in _cells(specs, workers)
+            for row in _estimate_rows(spec, density_index, counts)]
 
 
 def compare_methods(spec: ExperimentSpec, workers: int = 1):
@@ -469,10 +449,6 @@ def compare_methods(spec: ExperimentSpec, workers: int = 1):
     if len(spec.trial_methods) < 2:
         raise ValueError(f"methods: a comparison needs at least two trial methods, "
                          f"got {list(spec.trial_methods)}")
-    rows = []
-    with _pool((spec,), workers) as executor:
-        for density_index, density_per_km in enumerate(spec.densities_per_km):
-            _, disagreements = _count_trials(spec, density_index, executor)
-            for (a, b), count in sorted(disagreements.items()):
-                rows.append(MethodDisagreement(density_per_km, a, b, count, spec.trials))
-    return rows
+    return [MethodDisagreement(spec.densities_per_km[density_index], a, b, count, spec.trials)
+            for _, density_index, _, disagreements in _cells((spec,), workers)
+            for (a, b), count in sorted(disagreements.items())]

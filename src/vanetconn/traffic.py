@@ -15,7 +15,8 @@ import numpy as np
 
 # Headways are snapped *up* to this grid (~15 nm).  Grid-aligned gaps keep
 # every cumulative position and every pairwise difference exactly
-# representable in float64, so the spacing identity
+# representable in float64 while positions stay below 2**53 grid steps
+# (2**27 m, about 134,000 km), so there the spacing identity
 # S[i,k] == S[i,j] + S[j,k] holds bit-exactly rather than to within an ulp.
 # The perturbation is ~1e-10 relative on realistic gaps and also guarantees
 # strictly positive gaps even if the uniform draw hits its endpoint.
@@ -163,7 +164,7 @@ def spacing_matrix(headways: HeadwayVector) -> SpacingMatrix:
 
     Built from cumulative positions.  With grid-aligned gaps (as produced by
     sample_headways) all positions, differences, and sums of entries are
-    exact in float64.
+    exact in float64 on roads shorter than 2**27 m (see SPACING_QUANTUM_M).
     """
     positions = headways.positions
     entries = np.abs(positions[None, :] - positions[:, None])

@@ -463,11 +463,18 @@ class TestMainEntry:
         ("compare", QUICK, [], "methods:"),
         ("sweep", dict(QUICK, methods=["oracle", "oracle"]), [], "methods:"),
         ("sweep", dict(QUICK, direction="sideways"), [], "direction:"),
+        ("sweep", QUICK, ["--density", "5", "--density-start", "2", "--density-stop", "4"],
+         "densities_per_km:"),
+        ("sweep", QUICK, ["--density-step", "2"], "densities_per_km:"),
+        # 25 veh/km over 10^9 km: 2.5 * 10^10 vehicles, refused before any trial runs
+        ("sweep", dict(QUICK, densities_per_km=[25], segment_length_m=1e12,
+                       methods=["oracle", "chain"]), [], "methods"),
     ], ids=["grid-unknown-key", "grid-no-start", "grid-stop-below-start", "grid-number",
             "density-start-alone", "policy-number", "policy-unknown-type",
             "two-tier-no-fraction", "no-policy", "support-one-level", "support-wrong-mean",
             "file-not-object", "methods-empty", "single-two-densities", "compare-one-method",
-            "methods-duplicate", "direction-unknown"])
+            "methods-duplicate", "direction-unknown", "density-with-grid-flags",
+            "density-step-alone", "line-methods-above-cap"])
     def test_refusal_names_its_key(self, command, config, argv, key, tmp_path, capsys):
         path, out = tmp_path / "run.json", tmp_path / "out.csv"
         path.write_text(json.dumps(config))

@@ -10,7 +10,6 @@ from vanetconn.connectivity import (
     AnalyticModel,
     analytic_pc,
     analytic_pc_chain_mixed,
-    bool_power_reach,
     component_count,
     consecutive_chain,
     eigenvalues_symmetric,
@@ -18,9 +17,7 @@ from vanetconn.connectivity import (
     headway_cdf,
     is_connected_exponent,
     is_connected_laplacian,
-    line_chain,
     line_chain_rows,
-    line_reachable,
     line_reachable_rows,
     min_range_for_target,
     oracle_components,
@@ -216,11 +213,11 @@ def test_stacked_cholesky_leaves_nan_in_failed_matrix_only():
 class TestBoolPower:
     def test_three_path_two_step(self):
         a = path_adjacency(3)
-        reach = bool_power_reach(a, 2)
+        reach = connectivity._bool_power(a.entries, 2)
         assert reach[0, 2]
 
     def test_power_one_is_adjacency(self, golden_adjacency):
-        assert np.array_equal(bool_power_reach(golden_adjacency, 1),
+        assert np.array_equal(connectivity._bool_power(golden_adjacency.entries, 1),
                               golden_adjacency.entries)
 
     def test_upper_triangular_full_power_hits_only_corner(self):
@@ -228,13 +225,9 @@ class TestBoolPower:
         for _ in range(30):
             n = int(rng.integers(3, 8))
             entries = np.triu(rng.random((n, n)) < 0.6, 1)
-            reach = bool_power_reach(Adjacency(entries, "upward"), n - 1)
+            reach = connectivity._bool_power(entries, n - 1)
             hits = np.argwhere(reach)
             assert all((i, j) == (0, n - 1) for i, j in hits)
-
-    def test_rejects_zero_length(self, golden_adjacency):
-        with pytest.raises(ValueError):
-            bool_power_reach(golden_adjacency, 0)
 
     def test_matches_dfs_enumeration_small(self):
         # every 3-vehicle directed pattern, every length up to 4
@@ -245,7 +238,7 @@ class TestBoolPower:
                 entries[i, j] = bool(bits >> b & 1)
             a = Adjacency(entries, "full")
             for k in range(1, 5):
-                reach = bool_power_reach(a, k)
+                reach = connectivity._bool_power(a.entries, k)
                 for i in range(3):
                     for j in range(3):
                         assert reach[i, j] == walk_exists_dfs(entries, k, i, j)
@@ -258,7 +251,7 @@ class TestBoolPower:
             np.fill_diagonal(entries, False)
             a = Adjacency(entries, "full")
             k = int(rng.integers(1, 7))
-            reach = bool_power_reach(a, k)
+            reach = connectivity._bool_power(a.entries, k)
             src, dst = rng.integers(0, n, 2)
             assert reach[src, dst] == walk_exists_dfs(entries, k, int(src), int(dst))
 
@@ -279,7 +272,7 @@ class TestExponentVerdict:
             if isinstance(policy, TwoTierRange):
                 a = project(a, "upward")
             n = a.size
-            expected = bool(bool_power_reach(a, n - 1)[0, n - 1])
+            expected = bool(connectivity._bool_power(a.entries, n - 1)[0, n - 1])
             assert is_connected_exponent(a) == expected
             verdicts.add(expected)
         assert verdicts == {False, True}
@@ -357,6 +350,13 @@ def dense_traversal(headways, assignment):
     return oracle_reachable(up, 0, up.size - 1), connected, consecutive_chain(up)
 
 
+def line_traversal(headways, assignment):
+    """(reachable, chain) from the line kernels on a stack of one snapshot."""
+    positions, ranges_ = headways.positions[None], assignment.ranges[None]
+    return (bool(line_reachable_rows(positions, ranges_)[0]),
+            bool(line_chain_rows(positions, ranges_)[0]))
+
+
 class TestLineKernels:
     def test_rounded_sum_tie_is_not_a_link(self):
         # x_1 + R_1 rounds to x_2 = 1750 in float64, but x_2 - x_1 = 750 > R_1
@@ -365,14 +365,13 @@ class TestLineKernels:
         headways = traffic.HeadwayVector(np.array([1000.0, 750.0]))
         assignment = ranges.RangeAssignment(np.array([1000.0, r1, 500.0]))
         assert dense_traversal(headways, assignment) == (False, None, False)
-        assert not line_reachable(headways, assignment)
-        assert not line_chain(headways, assignment)
+        assert line_traversal(headways, assignment) == (False, False)
 
     def test_exact_spacing_tie_is_a_link(self):
         headways = traffic.HeadwayVector(np.array([1000.0, 750.0]))
         assignment = ranges.RangeAssignment(np.array([1000.0, 750.0, 500.0]))
         assert dense_traversal(headways, assignment) == (True, None, True)
-        assert line_reachable(headways, assignment) and line_chain(headways, assignment)
+        assert line_traversal(headways, assignment) == (True, True)
 
     def test_rounded_sum_one_ulp_short_still_links(self):
         # off-grid positions [0, 2^-53, 1, 1 + 2^-52]: x_1 + R_1 rounds to 1,
@@ -382,14 +381,12 @@ class TestLineKernels:
         positions = headways.positions
         assert positions[1] + 1.0 < positions[3]
         assert dense_traversal(headways, assignment) == (True, None, False)
-        assert line_reachable(headways, assignment)
-        assert not line_chain(headways, assignment)
+        assert line_traversal(headways, assignment) == (True, False)
 
     def test_bridge_reaches_past_broken_chain(self):
         headways = traffic.HeadwayVector(np.array([300.0, 200.0]))
         assignment = ranges.RangeAssignment(np.array([600.0, 100.0, 50.0]))
-        assert line_reachable(headways, assignment)
-        assert not line_chain(headways, assignment)
+        assert line_traversal(headways, assignment) == (True, False)
 
     def test_rows_judged_alone(self):
         # one block holding the tie, rounded-tie and bridge rows of this class
@@ -410,13 +407,6 @@ class TestLineKernels:
                                                   ranges.RangeAssignment(r))
             assert (reach_rows[row], chain_rows[row]) == (reachable, chain)
 
-    def test_rejects_size_mismatch(self):
-        headways = traffic.HeadwayVector(np.array([300.0, 200.0]))
-        with pytest.raises(ValueError):
-            line_chain(headways, ranges.RangeAssignment(np.array([600.0, 100.0])))
-        with pytest.raises(ValueError):
-            line_reachable(headways, ranges.RangeAssignment(np.array([600.0, 100.0])))
-
     @pytest.mark.parametrize("policy", [
         FixedRange(750.0),
         TwoTierRange(500.0, 1000.0, 0.5),
@@ -430,10 +420,10 @@ class TestLineKernels:
                 _, headways, assignment = random_snapshot(
                     rng, density_per_km / 1000.0, 10_000.0, policy)
                 reachable, connected, chain = dense_traversal(headways, assignment)
-                assert line_reachable(headways, assignment) == reachable
-                assert line_chain(headways, assignment) == chain
+                line = line_traversal(headways, assignment)
+                assert line == (reachable, chain)
                 if isinstance(policy, FixedRange):
-                    assert line_chain(headways, assignment) == connected
+                    assert line[1] == connected
 
     def test_matches_dense_route_on_long_roads(self):
         # continuous uniform ranges fall off the 2^-26 m grid
@@ -445,8 +435,7 @@ class TestLineKernels:
                     rng, density_per_km / 1000.0, 100_000.0, UniformRange(500.0, 100.0))
                 assert 1_000 <= headways.vehicle_count <= 2_000
                 reachable, _, chain = dense_traversal(headways, assignment)
-                assert line_reachable(headways, assignment) == reachable
-                assert line_chain(headways, assignment) == chain
+                assert line_traversal(headways, assignment) == (reachable, chain)
                 outcomes.add(reachable)
         assert outcomes == {False, True}
 

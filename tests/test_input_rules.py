@@ -13,11 +13,9 @@ from vanetconn.cli import RunConfig, run_figure_preset
 from vanetconn.connectivity import (
     AnalyticModel,
     analytic_pc_chain_mixed,
-    bool_power_reach,
     min_range_for_target,
 )
-from vanetconn.graphs import Adjacency
-from vanetconn.montecarlo import ExperimentSpec, estimate, run_trial, sweep
+from vanetconn.montecarlo import ExperimentSpec, compare_methods, run_trial, sweep
 from vanetconn.ranges import FixedRange, RangeAssignment, TwoTierRange, assign_ranges, power_proxy
 from vanetconn.traffic import HeadwayVector, headway_gaps
 
@@ -59,12 +57,12 @@ SITES = [
      lambda v: run_figure_preset("fig1", trials_traversal=1, trials_spectral=1, workers=v),
      COUNTS),
     ("sweep.workers", "workers", lambda v: sweep(SPEC, workers=v), COUNTS),
-    ("estimate.workers", "workers", lambda v: estimate(SPEC, 0, workers=v), COUNTS),
-    ("bool_power_reach", "k", lambda v: bool_power_reach(Adjacency(np.zeros((3, 3))), v), COUNTS),
+    ("compare_methods.workers", "workers",
+     lambda v: compare_methods(ExperimentSpec(**dict(SPEC_FIELDS, methods=("oracle", "chain"))),
+                               workers=v), COUNTS),
     # count rule, minimum 0
     ("ExperimentSpec.master_seed", "master_seed",
      lambda v: ExperimentSpec(**dict(SPEC_FIELDS, master_seed=v)), COUNTS),
-    ("estimate.density_index", "density_index", lambda v: estimate(SPEC, v), COUNTS),
     ("run_trial.density_index", "density_index", lambda v: run_trial(SPEC, v, 0), COUNTS),
     ("run_trial.trial_index", "trial_index", lambda v: run_trial(SPEC, 0, v), COUNTS),
     # count rule, minimum 2

@@ -16,9 +16,9 @@ from vanetconn.graphs import build_adjacency, laplacian, project, symmetrize
 from vanetconn.montecarlo import (
     CHUNK_SIZE,
     MAX_DENSE_VEHICLES,
+    MAX_LINE_VEHICLES,
     ExperimentSpec,
     compare_methods,
-    estimate,
     run_trial,
     sweep,
     trial_seed,
@@ -141,6 +141,18 @@ class TestSpecValidation:
                           segment=(MAX_DENSE_VEHICLES + 1) * 1000.0)
         assert spec.trial_methods == ("oracle", "chain")
 
+    def test_line_methods_capped_at_max_line_vehicles(self):
+        # 25 veh/km on a road of n / 25 km holds n vehicles; construction only
+        at_cap = MAX_LINE_VEHICLES / 25.0 * 1000.0
+        for method in ("oracle", "chain"):
+            assert fixed_spec(methods=(method,), densities=(25.0,), segment=at_cap).methods \
+                == (method,)
+            with pytest.raises(ValueError, match=rf"methods.*{MAX_LINE_VEHICLES + 1}"):
+                fixed_spec(methods=(method, "analytic"), densities=(25.0,),
+                           segment=at_cap + 40.0)
+        assert fixed_spec(methods=("analytic",), densities=(25.0,), segment=1e12).trial_methods \
+            == ()
+
 
 class TestSeeding:
     def test_trial_seeds_distinct(self):
@@ -200,29 +212,29 @@ class TestRunTrial:
 
 class TestEstimate:
     def test_single_trial_extremes(self):
-        rows = estimate(fixed_spec(trials=1), 2)
-        (row,) = rows
+        (row,) = [r for r in sweep(fixed_spec(trials=1)) if r.density_per_km == GRID[2]]
         assert row.p_hat in (0.0, 1.0)
         assert row.stderr == 0.0
         assert row.connected_count in (0, 1)
 
     def test_analytic_row_value_and_convention(self):
         spec = fixed_spec(methods=("analytic",), densities=(10.0,))
-        (row,) = estimate(spec, 0)
+        (row,) = sweep(spec)
         expected = analytic_pc(AnalyticModel(0.01, 750.0, 100))
         assert row.p_hat == pytest.approx(expected, abs=1e-15)
         assert row.stderr == 0.0 and row.trials == 0
 
     def test_stderr_formula(self):
         spec = fixed_spec(trials=400, densities=(10.0,))
-        (row,) = estimate(spec, 0)
+        (row,) = sweep(spec)
         assert row.stderr == pytest.approx(
             math.sqrt(row.p_hat * (1 - row.p_hat) / 400), abs=1e-15)
 
     def test_matches_analytic_within_three_stderr(self):
         spec = fixed_spec(methods=("oracle", "analytic"), trials=3000, densities=(8.0, 14.0))
-        for density_index, density in enumerate(spec.densities_per_km):
-            rows = {r.method: r for r in estimate(spec, density_index)}
+        table = sweep(spec)
+        for density in spec.densities_per_km:
+            rows = {r.method: r for r in table if r.density_per_km == density}
             expected = rows["analytic"].p_hat
             got = rows["oracle"]
             margin = 3 * max(got.stderr, math.sqrt(expected * (1 - expected) / spec.trials))
@@ -235,7 +247,7 @@ class TestEstimate:
         for seed in range(30):
             spec = ExperimentSpec((10.0,), 3_000.0, FixedRange(300.0), ("chain",),
                                   "undirected", 1500, seed)
-            (row,) = estimate(spec, 0)
+            (row,) = sweep(spec)
             p_hats.append(row.p_hat)
             stderrs.append(row.stderr)
         spread = float(np.std(p_hats, ddof=1))
@@ -244,10 +256,6 @@ class TestEstimate:
 
 
 class TestSweep:
-    def test_singleton_grid_equals_estimate(self):
-        spec = fixed_spec(densities=(10.0,), trials=50)
-        assert sweep(spec) == estimate(spec, 0)
-
     def test_worker_count_invariance(self):
         spec = fixed_spec(methods=("oracle", "chain"), trials=64, densities=(6.0, 12.0))
         assert sweep(spec, workers=1) == sweep(spec, workers=2)
@@ -264,7 +272,6 @@ class TestSweep:
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
         spec = upward_spec(methods=("oracle", "chain"), trials=CHUNK_SIZE, densities=(8.0,))
         assert sweep(spec, workers=2) == sweep(spec)
-        assert estimate(spec, 0, workers=2) == estimate(spec, 0)
         assert compare_methods(spec, workers=2) == compare_methods(spec)
 
     def test_several_specs_share_one_pool(self, monkeypatch):
@@ -326,7 +333,6 @@ class TestSweep:
     def test_workers_below_one_refused(self, workers):
         spec = fixed_spec(methods=("oracle", "chain"), trials=5, densities=(8.0,))
         for run in (lambda: sweep(spec, workers=workers),
-                    lambda: estimate(spec, 0, workers=workers),
                     lambda: compare_methods(spec, workers=workers)):
             with pytest.raises(ValueError, match="workers must be >= 1"):
                 run()
@@ -366,6 +372,19 @@ class TestCompareMethods:
         )
         assert report[("laplacian", "chain")] == bridged
         assert report[("oracle", "chain")] == bridged
+
+    def test_counts_the_cells_sweep_counts(self):
+        # a chain implies reachability, so oracle and chain disagree exactly
+        # on the trials that one counts connected and the other does not
+        spec = upward_spec(methods=("oracle", "chain"), trials=CHUNK_SIZE + 100)
+        connected = {(r.density_per_km, r.method): r.connected_count for r in sweep(spec)}
+        report = compare_methods(spec)
+        assert [(r.density_per_km, r.method_a, r.method_b) for r in report] \
+            == [(d, "oracle", "chain") for d in GRID]
+        for row in report:
+            assert row.count == (connected[(row.density_per_km, "oracle")]
+                                 - connected[(row.density_per_km, "chain")])
+        assert any(row.count > 0 for row in report)
 
     def test_worker_invariance(self):
         spec = upward_spec(methods=("oracle", "chain"), trials=64, densities=(8.0,))
