@@ -122,6 +122,7 @@ def _bool_power(entries: np.ndarray, k: int, rows=slice(None)) -> np.ndarray:
     set iff a walk of exactly k edges runs from i to j.  Each set bit of k
     folds into the kept rows only, so one row costs the squarings plus
     vector products.  Leading axes of ``entries`` are a stack of matrices."""
+    k = check_count("k", k, 1)
     base = entries.astype(np.float32)
     result = None
     while k:
@@ -211,6 +212,13 @@ def consecutive_chain(a: Adjacency) -> bool:
 # --- O(n) line kernels --------------------------------------------------------
 
 
+def _check_line_rows(positions: np.ndarray, ranges: np.ndarray) -> None:
+    # mismatched rows would broadcast into a verdict on the wrong vehicles
+    if positions.shape != ranges.shape:
+        raise ValueError(f"dimension mismatch: positions {positions.shape}, "
+                         f"ranges {ranges.shape}")
+
+
 def line_chain_rows(positions: np.ndarray, ranges: np.ndarray) -> np.ndarray:
     """Consecutive-chain event of each row of (rows, n) positions and ranges
     in O(n): every spacing S[i, i+1] <= R_i.
@@ -219,6 +227,7 @@ def line_chain_rows(positions: np.ndarray, ranges: np.ndarray) -> np.ndarray:
     wider than R cuts the line, since no link can span a wider gap.
     Equals ``consecutive_chain`` of the dense upward adjacency.
     """
+    _check_line_rows(positions, ranges)
     return (positions[:, 1:] - positions[:, :-1] <= ranges[:, :-1]).all(axis=1)
 
 
@@ -233,6 +242,7 @@ def line_reachable_rows(positions: np.ndarray, ranges: np.ndarray) -> np.ndarray
     sum above x_k is a sure link, one more than an ulp below x_k a sure
     break.  In that one-ulp band the dense test x_k - x_i <= R_i decides.
     """
+    _check_line_rows(positions, ranges)
     reach = np.maximum.accumulate(positions[:, :-1] + ranges[:, :-1], axis=1)
     target = positions[:, 1:]
     unsure = reach <= target

@@ -229,6 +229,10 @@ class TestBoolPower:
             hits = np.argwhere(reach)
             assert all((i, j) == (0, n - 1) for i, j in hits)
 
+    def test_rejects_zero_length(self, golden_adjacency):
+        with pytest.raises(ValueError):
+            connectivity._bool_power(golden_adjacency.entries, 0)
+
     def test_matches_dfs_enumeration_small(self):
         # every 3-vehicle directed pattern, every length up to 4
         for bits in range(2 ** 6):
@@ -406,6 +410,14 @@ class TestLineKernels:
             reachable, _, chain = dense_traversal(traffic.HeadwayVector(g),
                                                   ranges.RangeAssignment(r))
             assert (reach_rows[row], chain_rows[row]) == (reachable, chain)
+
+    def test_rejects_size_mismatch(self):
+        positions = traffic.HeadwayVector(np.array([300.0, 200.0])).positions[None]
+        ranges_ = np.array([[600.0, 100.0]])
+        with pytest.raises(ValueError):
+            line_chain_rows(positions, ranges_)
+        with pytest.raises(ValueError):
+            line_reachable_rows(positions, ranges_)
 
     @pytest.mark.parametrize("policy", [
         FixedRange(750.0),

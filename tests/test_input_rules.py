@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from vanetconn import montecarlo
+from vanetconn import connectivity, montecarlo
 from vanetconn.cli import RunConfig, run_figure_preset
 from vanetconn.connectivity import (
     AnalyticModel,
@@ -60,6 +60,7 @@ SITES = [
     ("compare_methods.workers", "workers",
      lambda v: compare_methods(ExperimentSpec(**dict(SPEC_FIELDS, methods=("oracle", "chain"))),
                                workers=v), COUNTS),
+    ("_bool_power", "k", lambda v: connectivity._bool_power(np.zeros((3, 3)), v), COUNTS),
     # count rule, minimum 0
     ("ExperimentSpec.master_seed", "master_seed",
      lambda v: ExperimentSpec(**dict(SPEC_FIELDS, master_seed=v)), COUNTS),
