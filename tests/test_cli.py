@@ -268,6 +268,23 @@ class TestMainEntry:
         assert code == 0
         assert len(read_rows(out)) == 3
 
+    def test_single_and_sweep_print_and_write_alike(self, tmp_path, capsys):
+        # one density: the same table on stdout, with --output or without,
+        # and the same CSV bytes
+        argv = ["--density", "8", "--policy", "fixed", "--range", "600", "--trials", "12",
+                "--method", "oracle", "--method", "analytic"]
+        printed = {}
+        for command in ("single", "sweep"):
+            for output in ([], ["--output", str(tmp_path / f"{command}.csv")]):
+                assert cli.main([command] + argv + output) == 0
+                printed[command, bool(output)] = capsys.readouterr().out
+        table = printed["single", False]
+        assert table.startswith("density/km") and len(table.splitlines()) == 3
+        assert printed["sweep", False] == table
+        for command in ("single", "sweep"):
+            assert printed[command, True] == f"{table}wrote {tmp_path / command}.csv\n"
+        assert (tmp_path / "single.csv").read_bytes() == (tmp_path / "sweep.csv").read_bytes()
+
     @pytest.mark.parametrize("command", ["single", "sweep", "analytic", "compare"])
     def test_verbose_only_adds_stderr_lines(self, command, tmp_path, capsys):
         argv = [command, "--density", "8", "--policy", "fixed", "--range", "600",
@@ -346,10 +363,14 @@ class TestMainEntry:
         assert "free-flow" in capsys.readouterr().err
 
     def test_figure_cli(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
-        code = cli.main(["figure", "fig5", "--trials", "2", "--seed", "9"])
-        assert code == 0
-        assert (tmp_path / "fig5.csv").exists()
+        monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / "env"))
+        # the environment names the directory, and --output-dir overrides it
+        for flag, outdir in (([], tmp_path / "env"), (["--output-dir", str(tmp_path / "flag")],
+                                                      tmp_path / "flag")):
+            code = cli.main(["figure", "fig5", "--trials", "2", "--seed", "9"] + flag)
+            assert code == 0
+            assert capsys.readouterr().out == f"wrote {outdir / 'fig5.csv'}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["env", "flag"]
 
     @pytest.mark.parametrize("trials", ["0", "-5"])
     def test_figure_bad_trials_is_config_error(self, trials, tmp_path, capsys):
@@ -469,12 +490,14 @@ class TestMainEntry:
         # 25 veh/km over 10^9 km: 2.5 * 10^10 vehicles, refused before any trial runs
         ("sweep", dict(QUICK, densities_per_km=[25], segment_length_m=1e12,
                        methods=["oracle", "chain"]), [], "methods"),
+        # a trial's longest gap, 36.7 mean headways, would overflow the spacing grid
+        ("sweep", dict(QUICK, densities_per_km=[5, 1e-297]), [], "densities_per_km[1]:"),
     ], ids=["grid-unknown-key", "grid-no-start", "grid-stop-below-start", "grid-number",
             "density-start-alone", "policy-number", "policy-unknown-type",
             "two-tier-no-fraction", "no-policy", "support-one-level", "support-wrong-mean",
             "file-not-object", "methods-empty", "single-two-densities", "compare-one-method",
             "methods-duplicate", "direction-unknown", "density-with-grid-flags",
-            "density-step-alone", "line-methods-above-cap"])
+            "density-step-alone", "line-methods-above-cap", "density-too-sparse-for-trials"])
     def test_refusal_names_its_key(self, command, config, argv, key, tmp_path, capsys):
         path, out = tmp_path / "run.json", tmp_path / "out.csv"
         path.write_text(json.dumps(config))

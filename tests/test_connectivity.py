@@ -565,6 +565,13 @@ class TestChainClosedForm:
         ef = expected_headway_cdf(0.004, UniformRange(500.0, 100.0))
         assert ef == pytest.approx(EF_UNIFORM_500_100_RHO004, abs=1e-12)
 
+    @pytest.mark.parametrize("std", [1e-14, 1e-12, 1e-6])
+    def test_tiny_uniform_spread_matches_fixed_mean(self, std):
+        # the support's bounds may round to one float; the closed form must
+        # neither divide by their zero difference nor drift from the fixed range
+        value = analytic_pc_chain_mixed(0.01, 100, UniformRange(750.0, std))
+        assert value == pytest.approx(analytic_pc(AnalyticModel(0.01, 750.0, 100)), rel=1e-9)
+
     def test_discrete_support_is_mean_of_cdfs(self):
         support = (500.0, 1000.0)
         arr = np.asarray(support)

@@ -49,6 +49,11 @@ SITES = [
      NUMBERS),
     ("power_proxy", "path_loss_exponent",
      lambda v: power_proxy(RangeAssignment(np.full(3, 750.0)), v), NUMBERS),
+    # a trial's longest gap must survive the snap to the spacing grid; the
+    # closed forms take any positive density
+    ("ExperimentSpec.densities_per_km", "densities_per_km[1]",
+     lambda v: ExperimentSpec(**dict(SPEC_FIELDS, densities_per_km=(10.0, v))),
+     (1e-297, 1.38e-296, 5e-324)),
     # count rule, minimum 1
     ("ExperimentSpec.trials", "trials", lambda v: ExperimentSpec(**dict(SPEC_FIELDS, trials=v)),
      COUNTS),
@@ -92,3 +97,9 @@ def test_bad_input_refused_by_field(field, call, value, tmp_path, monkeypatch):
     with pytest.raises(ValueError, match=rf"^{re.escape(field)}( must |: )"), \
             np.errstate(divide="ignore", invalid="ignore"):
         call(value)
+
+
+def test_closed_forms_take_a_density_too_sparse_for_trials():
+    spec = ExperimentSpec(**dict(SPEC_FIELDS, densities_per_km=(1e-297,), methods=("analytic",)))
+    (row,) = sweep(spec)
+    assert 0.0 <= row.p_hat < 1e-290  # one 750 m link over a mean gap of 10**300 m
