@@ -3,10 +3,12 @@
 Each trial derives its own generator by mixing the master seed with the grid
 position and trial index through a SplitMix64-style bijective finalizer, so
 results are identical for any execution order, chunking, or process count.
-Trials of one grid point run in blocks: the block's seeds are hashed at once,
-each trial draws its headway uniforms and ranges into one row from its own
-PCG64 stream (trial_rng's), and the block is judged at once (the n x n methods
-in sub-blocks of stacked matrices), so results do not depend on block size.
+Trials run in chunks of (grid point, trial) pairs: grid points with fewer
+than CHUNK_SIZE trials share a chunk, whose seeds are hashed at once.  Within a
+chunk each grid point's trials run in blocks: each trial draws its headway
+uniforms and ranges into one row from its own PCG64 stream (trial_rng's), and
+the block is judged at once (the n x n methods in sub-blocks of stacked
+matrices), so results do not depend on chunk or block size.
 One realization (headways + ranges) feeds every requested method, which makes
 per-realization verdicts directly comparable.
 """
@@ -53,7 +55,9 @@ DIRECTIONS = (DIRECTION_UNDIRECTED, DIRECTION_UPWARD)
 DEFAULT_TRAVERSAL_TRIALS = 10_000
 DEFAULT_SPECTRAL_TRIALS = 2_000
 
-# Trials per process-pool task.
+# (grid point, trial) pairs per chunk, the process-pool task: a grid point's
+# trials split into chunks of this size, and grid points with fewer trials
+# share one.
 CHUNK_SIZE = 512
 
 # Vehicles per block of trials that are transformed and judged together, and
@@ -98,9 +102,9 @@ def _mix64(x):
     return x ^ (x >> 31)
 
 
-def trial_seed(master_seed: int, grid_index: int, trial_index):
-    """Distinct, order-free 64-bit seed for one (grid point, trial) cell; a
-    uint64 array of trial indices gives a uint64 array of their seeds."""
+def trial_seed(master_seed: int, grid_index, trial_index):
+    """Distinct, order-free 64-bit seed for one (grid point, trial) cell;
+    uint64 arrays of grid or trial indices give a uint64 array of seeds."""
     counter = ((grid_index & 0xFFFFFFFF) << 32) | (trial_index & 0xFFFFFFFF)
     return _mix64((master_seed & _MASK64) + _GOLDEN * (counter + 1))
 
@@ -115,11 +119,14 @@ def _hashmix(values: np.ndarray, constants: np.ndarray) -> np.ndarray:
     return values ^ (values >> 16)
 
 
-def _seed_words(master_seed: int, grid_index: int, trials: range) -> np.ndarray:
-    """(rows, 4) uint64 seed words of a block: row t, for t in trials, equals
-    SeedSequence(trial_seed(master_seed, grid_index, t)).generate_state(4, np.uint64)."""
-    trial_index = np.arange(trials.start, trials.stop, dtype=np.uint64)
-    seed = trial_seed(master_seed, grid_index, trial_index)
+def _seed_words(master_seed: int, grid_index, trials) -> np.ndarray:
+    """(rows, 4) uint64 seed words: row k equals SeedSequence(trial_seed(
+    master_seed, grid_index[k], trials[k])).generate_state(4, np.uint64).
+    ``trials`` is a range or a uint64 array; ``grid_index`` is one int for
+    every row or a uint64 array like ``trials``."""
+    if isinstance(trials, range):
+        trials = np.arange(trials.start, trials.stop, dtype=np.uint64)
+    seed = trial_seed(master_seed, grid_index, trials)
     # numpy hashes the seed's words (lo, hi) and 0 for each missing pool word
     pool = np.zeros((4, len(seed)), dtype=np.uint32)
     pool[0], pool[1] = seed.astype(np.uint32), (seed >> 32).astype(np.uint32)
@@ -132,16 +139,23 @@ def _seed_words(master_seed: int, grid_index: int, trials: range) -> np.ndarray:
     return np.ascontiguousarray((out[0::2] | (out[1::2] << 32)).T)
 
 
-class _SeedWords:
-    """The four uint64 words that numpy's SeedSequence would give PCG64: a
-    numpy ISeedSequence, registered as one on first use, so that importing
-    this module does not import numpy.random (about 14 ms)."""
+@functools.cache
+def _seed_words_type() -> type:
+    """A numpy ISeedSequence that hands PCG64 one row of _seed_words: the four
+    uint64 words that numpy's SeedSequence would give it.  Made on first use,
+    so that importing this module does not import numpy.random (about 14 ms)."""
+    from numpy.random.bit_generator import ISeedSequence
 
-    def __init__(self, words: np.ndarray):
-        self.words = words
+    class SeedWords(ISeedSequence):
+        __slots__ = ("words",)
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return SeedWords
 
 
 @dataclass(frozen=True)
@@ -243,15 +257,22 @@ class MethodDisagreement:
 
 def _realizations(spec: ExperimentSpec, density_index: int, trials: range):
     """Gaps (rows, n - 1) and ranges (rows, n) of one cell's trials, one row
-    per trial.  Each trial draws its headway uniforms, then its ranges, from
-    trial_rng's stream; seeding and the headway transform run once per block."""
+    per trial: the draw of their seed words."""
+    return _draw(spec, density_index, _seed_words(spec.master_seed, density_index, trials))
+
+
+def _draw(spec: ExperimentSpec, density_index: int, words: np.ndarray):
+    """Gaps (rows, n - 1) and ranges (rows, n) of trials of one cell, one row
+    per row of seed words.  Each trial draws its headway uniforms, then its
+    ranges, from its own PCG64 stream (trial_rng's); the headway transform
+    runs once per block."""
     density_m = spec.densities_per_km[density_index] / 1000.0
     n = vehicle_count(density_m, spec.segment_length_m)
-    uniforms = np.empty((len(trials), n - 1))
-    ranges = np.empty((len(trials), n))
-    np.random.bit_generator.ISeedSequence.register(_SeedWords)  # no-op after the first call
-    for row, words in enumerate(_seed_words(spec.master_seed, density_index, trials)):
-        rng = np.random.Generator(np.random.PCG64(_SeedWords(words)))
+    uniforms = np.empty((len(words), n - 1))
+    ranges = np.empty((len(words), n))
+    seed_words = _seed_words_type()
+    for row, row_words in enumerate(words):
+        rng = np.random.Generator(np.random.PCG64(seed_words(row_words)))
         rng.random(out=uniforms[row])
         draw_ranges(spec.policy, rng, ranges[row])
     return headway_gaps(uniforms, density_m), check_positive_array("ranges", ranges)
@@ -312,23 +333,32 @@ def run_trial(spec: ExperimentSpec, density_index: int, trial_index: int) -> Tri
 
 
 def _chunk_counts(args):
-    """Verdict-count reduction over a chunk of trials (process-pool unit),
-    in blocks of about BLOCK_ELEMENTS vehicles."""
-    spec, density_index, start, stop = args
+    """Verdict and pair-disagreement counts of each cell first..end - 1 of a
+    spec over its trials start..stop - 1 (the process-pool unit).  The seed
+    words of all the chunk's (cell, trial) pairs are hashed at once; each
+    cell's trials then run in blocks of about BLOCK_ELEMENTS vehicles."""
+    spec, first, end, start, stop = args
     methods = spec.trial_methods
     pairs = list(combinations(methods, 2))
-    counts = dict.fromkeys(methods, 0)
-    disagreements = dict.fromkeys(pairs, 0)
-    n = vehicle_count(spec.densities_per_km[density_index] / 1000.0, spec.segment_length_m)
-    rows = max(1, BLOCK_ELEMENTS // n)
-    for first in range(start, stop, rows):
-        gaps, ranges = _realizations(spec, density_index, range(first, min(first + rows, stop)))
-        verdicts = _verdicts(spec, gaps, ranges, methods)
-        for m in methods:
-            counts[m] += int(np.count_nonzero(verdicts[m]))
-        for a, b in pairs:
-            disagreements[(a, b)] += int(np.count_nonzero(verdicts[a] != verdicts[b]))
-    return counts, disagreements
+    trials = stop - start
+    grid_index = np.repeat(np.arange(first, end, dtype=np.uint64), trials)
+    trial_index = np.tile(np.arange(start, stop, dtype=np.uint64), end - first)
+    words = _seed_words(spec.master_seed, grid_index, trial_index).reshape(end - first, trials, 4)
+    cells = []
+    for density_index, cell_words in zip(range(first, end), words):
+        counts = dict.fromkeys(methods, 0)
+        disagreements = dict.fromkeys(pairs, 0)
+        n = vehicle_count(spec.densities_per_km[density_index] / 1000.0, spec.segment_length_m)
+        rows = max(1, BLOCK_ELEMENTS // n)
+        for row in range(0, trials, rows):
+            gaps, ranges = _draw(spec, density_index, cell_words[row:row + rows])
+            verdicts = _verdicts(spec, gaps, ranges, methods)
+            for m in methods:
+                counts[m] += int(np.count_nonzero(verdicts[m]))
+            for a, b in pairs:
+                disagreements[(a, b)] += int(np.count_nonzero(verdicts[a] != verdicts[b]))
+        cells.append((counts, disagreements))
+    return cells
 
 
 @functools.cache
@@ -428,24 +458,29 @@ def _estimate_rows(spec: ExperimentSpec, density_index: int, counts: dict):
 
 def _cells(specs: tuple, workers: int):
     """(spec, density index, verdict counts, pair disagreement counts) of every
-    grid point of the specs, in order.  The trials of a cell run in chunks of
-    CHUNK_SIZE, all cells on one process pool; a spec without trial methods
-    yields empty counts."""
+    grid point of the specs, in order.  A cell's trials run in chunks of
+    CHUNK_SIZE, and cells with fewer trials share one: each chunk holds
+    CHUNK_SIZE // trials consecutive cells.  All chunks run on one process
+    pool; a spec without trial methods yields empty counts."""
     with _pool(specs, workers) as executor:
         run = executor.map if executor else map
         for spec in specs:
             methods = spec.trial_methods
-            for density_index in range(len(spec.densities_per_km)):
-                counts = dict.fromkeys(methods, 0)
-                disagreements = dict.fromkeys(combinations(methods, 2), 0)
-                chunks = [(spec, density_index, start, min(start + CHUNK_SIZE, spec.trials))
+            cells = len(spec.densities_per_km)
+            group = max(1, CHUNK_SIZE // spec.trials)
+            for first in range(0, cells, group):
+                end = min(first + group, cells)
+                totals = [(dict.fromkeys(methods, 0), dict.fromkeys(combinations(methods, 2), 0))
+                          for _ in range(first, end)]
+                chunks = [(spec, first, end, start, min(start + CHUNK_SIZE, spec.trials))
                           for start in range(0, spec.trials if methods else 0, CHUNK_SIZE)]
-                for chunk_counts, chunk_disagreements in run(_chunk_counts, chunks):
-                    for m, c in chunk_counts.items():
-                        counts[m] += c
-                    for pair, c in chunk_disagreements.items():
-                        disagreements[pair] += c
-                yield spec, density_index, counts, disagreements
+                for chunk_cells in run(_chunk_counts, chunks):
+                    for cell_totals, cell_counts in zip(totals, chunk_cells):
+                        for total, chunk in zip(cell_totals, cell_counts):
+                            for key, c in chunk.items():
+                                total[key] += c
+                for density_index, (counts, disagreements) in zip(range(first, end), totals):
+                    yield spec, density_index, counts, disagreements
 
 
 def sweep(*specs: ExperimentSpec, workers: int = 1):

@@ -219,9 +219,9 @@ class TestFigurePresets:
                 return False
 
             def map(self, fn, chunks):
-                for spec, density_index, start, _ in chunks:
-                    cells.add((spec, density_index))
-                    yield fn((spec, density_index, start, start))
+                for spec, first, end, start, _ in chunks:
+                    cells.update((spec, density_index) for density_index in range(first, end))
+                    yield fn((spec, first, end, start, start))
 
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", StandInPool)
         set_usable_cpus(monkeypatch, 2)

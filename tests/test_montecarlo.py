@@ -173,6 +173,21 @@ class TestSeeding:
                     sequence = np.random.SeedSequence(trial_seed(master_seed, grid_index, t))
                     assert words[row].tolist() == sequence.generate_state(4, np.uint64).tolist()
 
+    @pytest.mark.parametrize("master_seed", [0, 1, 2 ** 63, 2 ** 64 - 1])
+    def test_multi_cell_seed_words_equal_seed_sequence(self, master_seed):
+        # one hash over (grid, trial) pairs that cross cell boundaries, as a
+        # chunk of several cells makes it; the seed keeps 32 bits of each index
+        grid = np.array([0, 0, 1, 1, 1, 2 ** 32 - 1, 2 ** 32 - 1, 2 ** 32, 2 ** 32, 2 ** 32 + 7],
+                        dtype=np.uint64)
+        trials = np.array([38, 39, 0, 1, 2 ** 32 - 1, 2 ** 32 - 2, 2 ** 32 - 1, 0, 2 ** 32 - 1, 5],
+                          dtype=np.uint64)
+        words = montecarlo._seed_words(master_seed, grid, trials)
+        assert words.dtype == np.uint64 and words.shape == (len(grid), 4)
+        for row, (g, t) in enumerate(zip(grid.tolist(), trials.tolist())):
+            sequence = np.random.SeedSequence(trial_seed(master_seed, g, t))
+            assert words[row].tolist() == sequence.generate_state(4, np.uint64).tolist()
+        assert len({tuple(row) for row in words.tolist()}) == len(grid)
+
 
 class TestRunTrial:
     def test_deterministic_record(self):
@@ -396,6 +411,85 @@ class TestCompareMethods:
         assert compare_methods(spec, workers=1) == compare_methods(spec, workers=2)
 
 
+LAYOUT_GRID = (2.0, 4.0, 6.0, 8.0, 10.0)
+
+
+def _layout_specs(trials=12):
+    """A fixed-range undirected spec and a two-tier upward spec, five grid
+    points each, with every trial method."""
+    return (fixed_spec(methods=("laplacian", "exponent", "oracle", "chain", "analytic"),
+                       trials=trials, densities=LAYOUT_GRID),
+            upward_spec(methods=("laplacian", "exponent", "oracle", "chain"), trials=trials,
+                        densities=LAYOUT_GRID))
+
+
+def _fig1_traversal_specs(master_seed=1):
+    """The shape of the benchmark's fig1_traversal round: 24 grid points x 40
+    trials under each of three fixed ranges."""
+    densities = tuple(float(d) for d in range(2, 26))
+    return [ExperimentSpec(densities, 10_000.0, FixedRange(r), ("oracle", "chain", "analytic"),
+                           "undirected", 40, master_seed) for r in (500.0, 750.0, 1000.0)]
+
+
+class TestChunkLayout:
+    # 12 trials per cell: chunks of 1, 7 and 11 split a cell; 12 and 13 hold
+    # one cell; 25 and 36 hold 2 and 3 (the last group partial); 60 all five
+    @pytest.mark.parametrize("chunk_size", [1, 7, 11, 12, 13, 25, 36, 60])
+    def test_rows_do_not_depend_on_chunk_layout(self, chunk_size, monkeypatch):
+        specs = _layout_specs()
+        expected = (sweep(*specs), [compare_methods(spec) for spec in specs])
+        monkeypatch.setattr(montecarlo, "CHUNK_SIZE", chunk_size)
+        assert (sweep(*specs), [compare_methods(spec) for spec in specs]) == expected
+
+    def test_pool_runs_split_and_shared_chunks_alike(self, monkeypatch):
+        # chunks of 5: the 12-trial cells split into 3 chunks, so a pool of 2
+        # starts, and it also runs the 2-trial spec's chunks of 2 cells each
+        started = []
+        real_pool = montecarlo.ProcessPoolExecutor
+
+        def counting_pool(*args, **kwargs):
+            started.append(kwargs["max_workers"])
+            return real_pool(*args, **kwargs)
+
+        specs = _layout_specs() + (upward_spec(methods=("oracle", "chain"), trials=2,
+                                               densities=LAYOUT_GRID),)
+        expected = sweep(*specs)
+        expected_compare = compare_methods(specs[1])
+        monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 5)
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", counting_pool)
+        set_usable_cpus(monkeypatch, 2)
+        assert sweep(*specs, workers=2) == expected
+        assert compare_methods(specs[1], workers=2) == expected_compare
+        assert started == [2, 2]
+
+    def test_fig1_traversal_round_hashes_two_blocks_per_spec(self, monkeypatch):
+        # 40 trials per cell: 12 cells share a chunk, so each spec's 24 cells
+        # take 2 hashes of 480 rows; every row builds one PCG64 and one Generator
+        hashed, built = [], []
+        real_words, real_bits, real_generator = (
+            montecarlo._seed_words, np.random.PCG64, np.random.Generator)
+
+        def recording_words(master_seed, grid_index, trials):
+            hashed.append(len(trials))
+            return real_words(master_seed, grid_index, trials)
+
+        def counting(real, kind):
+            def build(*args):
+                built.append(kind)
+                return real(*args)
+            return build
+
+        monkeypatch.setattr(montecarlo, "_seed_words", recording_words)
+        monkeypatch.setattr(np.random, "PCG64", counting(real_bits, "PCG64"))
+        monkeypatch.setattr(np.random, "Generator", counting(real_generator, "Generator"))
+        for spec in _fig1_traversal_specs():
+            hashed.clear()
+            built.clear()
+            sweep(spec)
+            assert hashed == [12 * 40, 12 * 40]
+            assert built.count("PCG64") == built.count("Generator") == 24 * 40
+
+
 BLOCK_POLICIES = [
     FixedRange(750.0),
     TwoTierRange(500.0, 1000.0, 0.5),
@@ -491,7 +585,8 @@ class TestTrialBlocks:
             for density_index in range(len(densities)):
                 gaps, ranges = montecarlo._realizations(spec, density_index, range(spec.trials))
                 verdicts = montecarlo._verdicts(spec, gaps, ranges, spec.trial_methods)
-                counts, _ = montecarlo._chunk_counts((spec, density_index, 0, spec.trials))
+                [(counts, _)] = montecarlo._chunk_counts(
+                    (spec, density_index, density_index + 1, 0, spec.trials))
                 for method, expected in self._single_snapshot_verdicts(
                         direction, policy, gaps, ranges).items():
                     assert verdicts[method].tolist() == expected
@@ -560,7 +655,8 @@ class TestTrialBlocks:
 
     @staticmethod
     def _assert_counts_match_run_trial(spec, density_index):
-        counts, disagreements = montecarlo._chunk_counts((spec, density_index, 0, spec.trials))
+        [(counts, disagreements)] = montecarlo._chunk_counts(
+            (spec, density_index, density_index + 1, 0, spec.trials))
         records = [run_trial(spec, density_index, t).verdicts for t in range(spec.trials)]
         for method in spec.trial_methods:
             assert counts[method] == sum(r[method] for r in records)

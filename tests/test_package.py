@@ -1,7 +1,10 @@
 """The package's metadata and its README examples agree with the code."""
 
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import vanetconn
@@ -43,3 +46,13 @@ def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
         if argv[0] != "selftest":
             argv += ["--trials", "4"]
         assert cli.main(argv) == 0, argv
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # numpy.random costs about 14 ms of start-up; the trial generators'
+    # seed-words type is made on first use, not at import
+    code = "import sys, vanetconn.cli; print('numpy.random' in sys.modules)"
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True, env=dict(os.environ, PYTHONPATH=path))
+    assert result.stdout.strip() == "False"
