@@ -113,24 +113,37 @@ def laplacian_rows(graphs: np.ndarray) -> np.ndarray:
 
 def _bool_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     # a product of 0/1 float32 arrays counts walks exactly: each entry sums
-    # at most n <= 2**24 ones, and thresholding keeps existence only
-    return ((x @ y) > 0.0).astype(np.float32)
+    # at most n <= 2**24 ones, and capping at 1 keeps existence only
+    product = x @ y
+    return np.minimum(product, 1.0, out=product)
 
 
 def _bool_power(entries: np.ndarray, k: int, rows=slice(None)) -> np.ndarray:
-    """Rows ``rows`` of the OR-AND semiring power by repeated squaring: (i, j)
-    set iff a walk of exactly k edges runs from i to j.  Each set bit of k
-    folds into the kept rows only, so one row costs the squarings plus
-    vector products.  Leading axes of ``entries`` are a stack of matrices."""
+    """Rows ``rows`` (a slice) of the OR-AND semiring power: (i, j) set iff a
+    walk of exactly k edges runs from i to j.  Leading axes of ``entries``
+    are a stack of matrices.
+
+    The base is squared and each set bit of the exponent left folds into the
+    kept rows only, while 8 k r > n for r kept rows; the k steps still owed
+    then multiply the kept rows by the base one at a time.  A squaring costs
+    about 2 n^3 flops, a kept-row step 2 r n^2 plus two numpy calls, hence
+    the 8.  All n rows are pure repeated squaring (log2 k squarings); row 0
+    of the (n - 1)th power takes at most 3 squarings and n / 8 + 3 steps.
+    The semiring is associative, so both orders give the same power.
+    """
     k = check_count("k", k, 1)
     base = entries.astype(np.float32)
+    n = base.shape[-1]
+    kept = len(range(n)[rows])
     result = None
-    while k:
+    while 8 * k * kept > n:
         if k & 1:
             result = base[..., rows, :] if result is None else _bool_matmul(result, base)
         k >>= 1
         if k:
             base = _bool_matmul(base, base)
+    for _ in range(k):
+        result = base[..., rows, :] if result is None else _bool_matmul(result, base)
     return result > 0.0
 
 

@@ -61,8 +61,10 @@ DEFAULT_SPECTRAL_TRIALS = 2_000
 CHUNK_SIZE = 512
 
 # Vehicles per block of trials that are transformed and judged together, and
-# matrix entries per sub-block of the dense methods: each float64 block array
-# stays within 128 KB.
+# matrix entries per sub-block of the dense methods, each at least one trial:
+# a block array holds at most max(2**14, n) entries and a dense sub-block
+# array max(2**14, n**2).  So a sub-block stays within 128 KB of float64 only
+# up to n = 128; above, it is one n x n matrix (62,500 entries at n = 250).
 BLOCK_ELEMENTS = 2 ** 14
 
 # Largest vehicle count the dense methods accept: each n x n float64 array
@@ -299,16 +301,20 @@ def _verdicts(spec: ExperimentSpec, gaps: np.ndarray, ranges: np.ndarray,
 
 def _dense_rows(positions: np.ndarray, ranges: np.ndarray, methods: list) -> dict:
     """``laplacian`` / ``exponent`` verdicts of each row of (rows, n) positions and
-    ranges, judged on stacked (step, n, n) matrices of at most BLOCK_ELEMENTS
-    entries each: ``laplacian_rows`` of the symmetrized upward links (the full
-    graph under one fixed range), ``exponent_rows`` of the upward ones."""
+    ranges, judged on stacked (step, n, n) matrices, step = max(1,
+    BLOCK_ELEMENTS // n**2): at most BLOCK_ELEMENTS entries up to n = 128,
+    one n x n matrix above.  ``laplacian_rows`` of the symmetrized upward
+    links (the full graph under one fixed range), ``exponent_rows`` of the
+    upward ones."""
     rows, n = positions.shape
     verdicts = {m: np.empty(rows, dtype=bool) for m in methods}
     step = max(1, BLOCK_ELEMENTS // n ** 2)
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
     for first in range(0, rows, step):
         x, r = positions[first:first + step], ranges[first:first + step]
         # upward link i -> j iff i < j and S[i, j] = x_j - x_i <= R_i
-        links = np.triu(x[:, None, :] - x[:, :, None] <= r[:, :, None], 1)
+        links = x[:, None, :] - x[:, :, None] <= r[:, :, None]
+        links &= upper
         if "laplacian" in methods:
             verdicts["laplacian"][first:first + step] = laplacian_rows(links | links.swapaxes(1, 2))
         if "exponent" in methods:

@@ -259,6 +259,35 @@ class TestBoolPower:
             src, dst = rng.integers(0, n, 2)
             assert reach[src, dst] == walk_exists_dfs(entries, k, int(src), int(dst))
 
+    def test_kept_row_steps_equal_full_power(self):
+        # one kept row stops squaring once 8 k <= n; every k from 1 to 3n
+        # meets that switch on both sides, against the all-rows power, which
+        # only squares.  Sparse general graphs keep long walks patchy.
+        rng = np.random.default_rng(3)
+        outcomes = set()
+        for n in range(2, 41):
+            general = rng.random((3, n, n)) < rng.uniform(0.5, 2.5, (3, 1, 1)) / n
+            general[:, np.arange(n), np.arange(n)] = False
+            upper = np.triu(rng.random((3, n, n)) < rng.uniform(0.2, 0.9, (3, 1, 1)), 1)
+            for entries in (general, upper):
+                for k in range(1, 3 * n + 1):
+                    row = connectivity._bool_power(entries, k, slice(0, 1))
+                    assert np.array_equal(row, connectivity._bool_power(entries, k)[:, :1])
+                    outcomes.update(row[:, 0, -1].tolist())
+                    if n ** k <= 5_000:
+                        assert row[0, 0].tolist() == [walk_exists_dfs(entries[0], k, 0, j)
+                                                      for j in range(n)]
+        assert outcomes == {False, True}
+
+    def test_bool_matmul_caps_walk_counts_at_one(self):
+        rng = np.random.default_rng(4)
+        x = (rng.random((2, 30, 30)) < 0.4).astype(np.float32)
+        counts = x.astype(np.int64) @ x.astype(np.int64)
+        product = connectivity._bool_matmul(x, x)
+        assert counts.max() > 1
+        assert product.dtype == np.float32
+        assert np.array_equal(product, (counts > 0).astype(np.float32))
+
 
 class TestExponentVerdict:
     def test_full_line_graph_connected(self):

@@ -10,6 +10,7 @@ from vanetconn.connectivity import (
     component_count,
     eigenvalues_symmetric,
     is_connected_exponent,
+    line_chain_rows,
     oracle_components,
 )
 from vanetconn.graphs import build_adjacency, laplacian, project, symmetrize
@@ -36,6 +37,7 @@ from vanetconn.traffic import (
     TrafficScenario,
     sample_headways,
     spacing_matrix,
+    vehicle_positions,
 )
 
 from conftest import set_usable_cpus
@@ -663,6 +665,45 @@ class TestTrialBlocks:
         for (a, b), count in disagreements.items():
             assert count == sum(r[a] != r[b] for r in records)
         return counts, disagreements
+
+
+class TestExponentKernel:
+    # 10 veh/km: N = 250 on 25 km, where both outcomes occur, and N = 1,000
+    # on 100 km, where two-tier chains connect with probability 0.035
+    @pytest.mark.parametrize("policy", [BLOCK_POLICIES[1], BLOCK_POLICIES[3]],
+                             ids=["two_tier", "uniform"])
+    @pytest.mark.parametrize("segment,trials", [(25_000.0, 40), (100_000.0, 4)],
+                             ids=["n250", "n1000"])
+    def test_upward_exponent_equals_chain(self, policy, segment, trials):
+        # on upward links the only walk of n - 1 links from the first vehicle
+        # to the last is the chain 0 -> 1 -> ... -> n - 1, so the dense and
+        # the O(n) verdict must agree row by row beyond the acceptance gates
+        spec = _block_spec(policy, densities=(10.0,), segment=segment, trials=trials,
+                           methods=("exponent", "chain"))
+        gaps, ranges = montecarlo._realizations(spec, 0, range(trials))
+        positions = vehicle_positions(gaps)
+        assert positions.shape == (trials, int(segment) // 100)
+        chain = line_chain_rows(positions, ranges)
+        assert montecarlo._dense_rows(positions, ranges, ["exponent"])["exponent"].tolist() \
+            == chain.tolist()
+        outcomes = set(chain.tolist())
+        assert False in outcomes and (True in outcomes or segment > 25_000.0)
+
+    @pytest.mark.parametrize("n", [100, 250])
+    def test_row_power_squares_three_times(self, n, monkeypatch):
+        # all-rows squaring would take floor(log2(n - 1)) = 6 and 7
+        squarings = []
+        real = connectivity._bool_matmul
+
+        def counting(x, y):
+            squarings.append(x.shape[-2:] == y.shape[-2:] == (n, n))
+            return real(x, y)
+
+        monkeypatch.setattr(connectivity, "_bool_matmul", counting)
+        # the path 0 -> 1 -> ... -> n - 1 is the only walk of n - 1 links
+        path = np.eye(n, k=1, dtype=bool)[None]
+        assert connectivity.exponent_rows(path).tolist() == [True]
+        assert sum(squarings) == 3
 
 
 class TestInProcessBlasThreads:
