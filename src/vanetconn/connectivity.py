@@ -1,4 +1,4 @@
-"""Connectivity verdicts for one network snapshot.
+"""Connectivity verdicts for one network snapshot, or for a block of them.
 
 Four independent routes are provided on purpose so they can check each other:
 
@@ -11,13 +11,13 @@ Four independent routes are provided on purpose so they can check each other:
 * closed-form models for the fixed-range and per-gap chain events.
 
 The line kernels ``line_chain_rows`` and ``line_reachable_rows`` give the
-traversal and chain verdicts in O(n) straight from the positions and ranges;
-they are the run path's ``oracle`` and ``chain``.  Vehicles sit on a line and a
-transmitter that reaches a vehicle also reaches every vehicle in between, so
-the set reached from the first vehicle is always a prefix and a break shows as
-a cut between neighbours (Dousse, Thiran & Hasler, INFOCOM 2002).  The dense
-union-find and breadth-first routes stay as the references they are checked
-against.
+traversal and chain verdicts in O(n) straight from the positions and ranges.
+Vehicles sit on a line and a transmitter that reaches a vehicle also reaches
+every vehicle in between, so the set reached from the first vehicle is always
+a prefix and a break shows as a cut between neighbours (Dousse, Thiran &
+Hasler, INFOCOM 2002).  The dense union-find and breadth-first routes stay as
+the references they are checked against.  ``verdict_rows``, the run path's one
+entry, judges a block of trials by every requested method at once.
 """
 
 from __future__ import annotations
@@ -31,6 +31,17 @@ from numpy.linalg import _umath_linalg
 from .graphs import DIRECTION_UPWARD, Adjacency, Laplacian, laplacian
 from .ranges import FixedRange, RangePolicy, TwoTierRange, UniformRange
 from .traffic import check_count, check_positive
+
+# Trial methods that judge n x n matrices, and those that judge the line in O(n).
+DENSE_METHODS = ("laplacian", "exponent")
+LINE_METHODS = ("oracle", "chain")
+
+# Vehicles per block of trials that are transformed and judged together, and
+# matrix entries per sub-block of the dense methods, each at least one trial:
+# a block array holds at most max(2**14, n) entries and a dense sub-block
+# array max(2**14, n**2).  So a sub-block stays within 128 KB of float64 only
+# up to n = 128; above, it is one n x n matrix (62,500 entries at n = 250).
+BLOCK_ELEMENTS = 2 ** 14
 
 # A Laplacian eigenvalue counts as zero below _ZERO_TOLERANCE_FACTOR * n * eps
 # * (max degree).  The symmetric eigensolver errs by a small multiple of
@@ -267,6 +278,38 @@ def line_reachable_rows(positions: np.ndarray, ranges: np.ndarray) -> np.ndarray
         x, r = positions[row], ranges[row]
         reached[row] = all((x[k] - x[:k] <= r[:k]).any() for k in np.flatnonzero(unsure[row]) + 1)
     return reached
+
+
+def verdict_rows(positions: np.ndarray, ranges: np.ndarray, methods, policy=None) -> np.ndarray:
+    """The run path's block entry: (len(methods), rows) verdicts of the given
+    DENSE_METHODS and LINE_METHODS, in order, on (rows, n) positions and ranges
+    drawn under ``policy``.  ``laplacian`` judges the mirrored, ``exponent`` the
+    upward links, in stacks of step = max(1, BLOCK_ELEMENTS // n**2) trials."""
+    _check_line_rows(positions, ranges)
+    if not set(methods) <= set(DENSE_METHODS + LINE_METHODS):
+        raise ValueError(f"methods: expected trial methods, got {list(methods)}")
+    rows, n = positions.shape
+    verdicts = np.empty((len(methods), rows), dtype=bool)
+    dense = [(k, m) for k, m in enumerate(methods) if m in DENSE_METHODS]
+    step = max(1, BLOCK_ELEMENTS // n ** 2)
+    upper = np.triu(np.ones((n, n), dtype=bool), 1) if dense else None
+    for first in range(0, rows if dense else 0, step):
+        x, r = positions[first:first + step], ranges[first:first + step]
+        # upward link i -> j iff i < j and S[i, j] = x_j - x_i <= R_i
+        links = x[:, None, :] - x[:, :, None] <= r[:, :, None]
+        links &= upper
+        for k, method in dense:
+            verdicts[k, first:first + step] = (exponent_rows(links) if method == "exponent"
+                                               else laplacian_rows(links | links.swapaxes(1, 2)))
+    # with one fixed range a spacing wider than R cuts the line in both
+    # directions, so the oracle is the chain: one line_chain_rows serves both
+    fixed = isinstance(policy, FixedRange)
+    chain = [k for k, m in enumerate(methods) if m == "chain" or (m == "oracle" and fixed)]
+    if chain:
+        verdicts[chain] = line_chain_rows(positions, ranges)
+    if "oracle" in methods and not fixed:
+        verdicts[methods.index("oracle")] = line_reachable_rows(positions, ranges)
+    return verdicts
 
 
 # --- closed-form models -----------------------------------------------------

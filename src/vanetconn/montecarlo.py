@@ -7,10 +7,10 @@ Trials run in chunks of (grid point, trial) pairs: grid points with fewer
 than CHUNK_SIZE trials share a chunk, whose seeds are hashed at once.  Within a
 chunk each grid point's trials run in blocks: each trial draws its headway
 uniforms and ranges into one row from its own PCG64 stream (trial_rng's), and
-the block is judged at once (the n x n methods in sub-blocks of stacked
-matrices), so results do not depend on chunk or block size.
+connectivity.verdict_rows judges the block at once, so results do not depend
+on chunk or block size.
 One realization (headways + ranges) feeds every requested method, which makes
-per-realization verdicts directly comparable.
+per-realization verdicts directly comparable; a chunk counts them in one table.
 """
 
 from __future__ import annotations
@@ -27,22 +27,19 @@ from itertools import combinations
 import numpy as np
 
 from .connectivity import (
+    BLOCK_ELEMENTS,
+    DENSE_METHODS,
+    LINE_METHODS,
     AnalyticModel,
     analytic_pc,
     analytic_pc_chain_mixed,
-    exponent_rows,
-    laplacian_rows,
-    line_chain_rows,
-    line_reachable_rows,
+    verdict_rows,
 )
 from .graphs import DIRECTION_UPWARD
 from .ranges import FixedRange, RangePolicy, draw_ranges, mean_range, policy_label
 from .traffic import (SPACING_QUANTUM_M, check_count, check_positive, check_positive_array,
                       headway_gaps, shown, vehicle_count, vehicle_positions)
 
-# Trial methods that judge n x n matrices, and those that judge the line in O(n).
-DENSE_METHODS = ("laplacian", "exponent")
-LINE_METHODS = ("oracle", "chain")
 TRIAL_METHODS = DENSE_METHODS + LINE_METHODS
 ANALYTIC_METHODS = ("analytic", "analytic-chain")
 VALID_METHODS = TRIAL_METHODS + ANALYTIC_METHODS
@@ -59,13 +56,6 @@ DEFAULT_SPECTRAL_TRIALS = 2_000
 # trials split into chunks of this size, and grid points with fewer trials
 # share one.
 CHUNK_SIZE = 512
-
-# Vehicles per block of trials that are transformed and judged together, and
-# matrix entries per sub-block of the dense methods, each at least one trial:
-# a block array holds at most max(2**14, n) entries and a dense sub-block
-# array max(2**14, n**2).  So a sub-block stays within 128 KB of float64 only
-# up to n = 128; above, it is one n x n matrix (62,500 entries at n = 250).
-BLOCK_ELEMENTS = 2 ** 14
 
 # Largest vehicle count the dense methods accept: each n x n float64 array
 # takes 8 n^2 bytes, 200 MB at this size.  The line methods hold arrays of n
@@ -280,48 +270,6 @@ def _draw(spec: ExperimentSpec, density_index: int, words: np.ndarray):
     return headway_gaps(uniforms, density_m), check_positive_array("ranges", ranges)
 
 
-def _verdicts(spec: ExperimentSpec, gaps: np.ndarray, ranges: np.ndarray,
-              methods: tuple) -> dict:
-    """Per-method verdicts, a bool array with one entry per row of the block."""
-    positions = vehicle_positions(gaps)
-    dense = [m for m in methods if m in DENSE_METHODS]
-    verdicts = _dense_rows(positions, ranges, dense) if dense else {}
-    # with one fixed range a spacing wider than R cuts the line in both
-    # directions, so the oracle is the chain: one line_chain_rows serves both
-    fixed = isinstance(spec.policy, FixedRange)
-    if "chain" in methods or (fixed and "oracle" in methods):
-        chain = line_chain_rows(positions, ranges)
-    for method in methods:
-        if method == "chain" or (method == "oracle" and fixed):
-            verdicts[method] = chain
-        elif method == "oracle":
-            verdicts[method] = line_reachable_rows(positions, ranges)
-    return verdicts
-
-
-def _dense_rows(positions: np.ndarray, ranges: np.ndarray, methods: list) -> dict:
-    """``laplacian`` / ``exponent`` verdicts of each row of (rows, n) positions and
-    ranges, judged on stacked (step, n, n) matrices, step = max(1,
-    BLOCK_ELEMENTS // n**2): at most BLOCK_ELEMENTS entries up to n = 128,
-    one n x n matrix above.  ``laplacian_rows`` of the symmetrized upward
-    links (the full graph under one fixed range), ``exponent_rows`` of the
-    upward ones."""
-    rows, n = positions.shape
-    verdicts = {m: np.empty(rows, dtype=bool) for m in methods}
-    step = max(1, BLOCK_ELEMENTS // n ** 2)
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    for first in range(0, rows, step):
-        x, r = positions[first:first + step], ranges[first:first + step]
-        # upward link i -> j iff i < j and S[i, j] = x_j - x_i <= R_i
-        links = x[:, None, :] - x[:, :, None] <= r[:, :, None]
-        links &= upper
-        if "laplacian" in methods:
-            verdicts["laplacian"][first:first + step] = laplacian_rows(links | links.swapaxes(1, 2))
-        if "exponent" in methods:
-            verdicts["exponent"][first:first + step] = exponent_rows(links)
-    return verdicts
-
-
 def run_trial(spec: ExperimentSpec, density_index: int, trial_index: int) -> TrialRecord:
     """Evaluate every requested trial method on one shared realization: a
     block of one trial."""
@@ -333,38 +281,32 @@ def run_trial(spec: ExperimentSpec, density_index: int, trial_index: int) -> Tri
         raise IndexError(f"trial index {trial_index} outside 0..{spec.trials - 1}")
     gaps, ranges = _realizations(spec, density_index, range(trial_index, trial_index + 1))
     digest = hashlib.blake2b(gaps[0].tobytes() + ranges[0].tobytes(), digest_size=16).hexdigest()
-    verdicts = _verdicts(spec, gaps, ranges, spec.trial_methods)
+    verdicts = verdict_rows(vehicle_positions(gaps), ranges, spec.trial_methods, spec.policy)
     return TrialRecord(spec.densities_per_km[density_index], trial_index,
-                       {m: bool(v[0]) for m, v in verdicts.items()}, digest)
+                       dict(zip(spec.trial_methods, verdicts[:, 0].tolist())), digest)
 
 
 def _chunk_counts(args):
-    """Verdict and pair-disagreement counts of each cell first..end - 1 of a
-    spec over its trials start..stop - 1 (the process-pool unit).  The seed
-    words of all the chunk's (cell, trial) pairs are hashed at once; each
-    cell's trials then run in blocks of about BLOCK_ELEMENTS vehicles."""
+    """Count table of cells first..end - 1 over trials start..stop - 1 of a spec
+    (the process-pool unit), an int64 row per cell: trials each method judged
+    connected, then each method pair's disagreements.  Seeds are hashed and
+    verdicts counted per chunk, judged in blocks of about BLOCK_ELEMENTS vehicles."""
     spec, first, end, start, stop = args
     methods = spec.trial_methods
-    pairs = list(combinations(methods, 2))
     trials = stop - start
     grid_index = np.repeat(np.arange(first, end, dtype=np.uint64), trials)
     trial_index = np.tile(np.arange(start, stop, dtype=np.uint64), end - first)
     words = _seed_words(spec.master_seed, grid_index, trial_index).reshape(end - first, trials, 4)
-    cells = []
-    for density_index, cell_words in zip(range(first, end), words):
-        counts = dict.fromkeys(methods, 0)
-        disagreements = dict.fromkeys(pairs, 0)
+    verdicts = np.empty((len(methods), end - first, trials), dtype=bool)
+    for cell, (density_index, cell_words) in enumerate(zip(range(first, end), words)):
         n = vehicle_count(spec.densities_per_km[density_index] / 1000.0, spec.segment_length_m)
         rows = max(1, BLOCK_ELEMENTS // n)
         for row in range(0, trials, rows):
             gaps, ranges = _draw(spec, density_index, cell_words[row:row + rows])
-            verdicts = _verdicts(spec, gaps, ranges, methods)
-            for m in methods:
-                counts[m] += int(np.count_nonzero(verdicts[m]))
-            for a, b in pairs:
-                disagreements[(a, b)] += int(np.count_nonzero(verdicts[a] != verdicts[b]))
-        cells.append((counts, disagreements))
-    return cells
+            verdicts[:, cell, row:row + rows] = verdict_rows(vehicle_positions(gaps), ranges,
+                                                             methods, spec.policy)
+    pairs = [verdicts[a] != verdicts[b] for a, b in combinations(range(len(methods)), 2)]
+    return np.count_nonzero([*verdicts, *pairs], axis=2).T.astype(np.int64)
 
 
 @functools.cache
@@ -441,12 +383,13 @@ def _pool(specs: tuple, workers: int):
             set_threads(count)
 
 
-def _estimate_rows(spec: ExperimentSpec, density_index: int, counts: dict):
+def _estimate_rows(spec: ExperimentSpec, density_index: int, table_row: np.ndarray):
     """One estimate per method of the spec at one grid point: a closed form, or
     the share of the cell's trials that the method judged connected."""
     density_per_km = spec.densities_per_km[density_index]
     density_m = density_per_km / 1000.0
     n = vehicle_count(density_m, spec.segment_length_m)
+    counts = dict(zip(spec.trial_methods, table_row.tolist()))
     rows = []
     for method in spec.methods:
         connected, trials = (counts[method], spec.trials) if method in counts else (0, 0)
@@ -463,38 +406,33 @@ def _estimate_rows(spec: ExperimentSpec, density_index: int, counts: dict):
 
 
 def _cells(specs: tuple, workers: int):
-    """(spec, density index, verdict counts, pair disagreement counts) of every
-    grid point of the specs, in order.  A cell's trials run in chunks of
-    CHUNK_SIZE, and cells with fewer trials share one: each chunk holds
-    CHUNK_SIZE // trials consecutive cells.  All chunks run on one process
-    pool; a spec without trial methods yields empty counts."""
+    """(spec, density index, _chunk_counts row) of every grid point of the
+    specs, in order.  A cell's trials run in chunks of CHUNK_SIZE, and cells
+    with fewer trials share one: each chunk holds CHUNK_SIZE // trials
+    consecutive cells.  All chunks run on one process pool."""
     with _pool(specs, workers) as executor:
         run = executor.map if executor else map
         for spec in specs:
-            methods = spec.trial_methods
+            methods = len(spec.trial_methods)
             cells = len(spec.densities_per_km)
             group = max(1, CHUNK_SIZE // spec.trials)
             for first in range(0, cells, group):
                 end = min(first + group, cells)
-                totals = [(dict.fromkeys(methods, 0), dict.fromkeys(combinations(methods, 2), 0))
-                          for _ in range(first, end)]
+                totals = np.zeros((end - first, methods * (methods + 1) // 2), dtype=np.int64)
                 chunks = [(spec, first, end, start, min(start + CHUNK_SIZE, spec.trials))
                           for start in range(0, spec.trials if methods else 0, CHUNK_SIZE)]
-                for chunk_cells in run(_chunk_counts, chunks):
-                    for cell_totals, cell_counts in zip(totals, chunk_cells):
-                        for total, chunk in zip(cell_totals, cell_counts):
-                            for key, c in chunk.items():
-                                total[key] += c
-                for density_index, (counts, disagreements) in zip(range(first, end), totals):
-                    yield spec, density_index, counts, disagreements
+                for table in run(_chunk_counts, chunks):
+                    totals += table
+                for density_index, table_row in zip(range(first, end), totals):
+                    yield spec, density_index, table_row
 
 
 def sweep(*specs: ExperimentSpec, workers: int = 1):
     """Estimates over the whole density grid of each spec, in order, from one
     process pool; rows are independent and the table does not depend on
     scheduling or worker count."""
-    return [row for spec, density_index, counts, _ in _cells(specs, workers)
-            for row in _estimate_rows(spec, density_index, counts)]
+    return [row for spec, density_index, table_row in _cells(specs, workers)
+            for row in _estimate_rows(spec, density_index, table_row)]
 
 
 def compare_methods(spec: ExperimentSpec, workers: int = 1):
@@ -503,6 +441,7 @@ def compare_methods(spec: ExperimentSpec, workers: int = 1):
     if len(spec.trial_methods) < 2:
         raise ValueError(f"methods: a comparison needs at least two trial methods, "
                          f"got {list(spec.trial_methods)}")
+    pairs = list(combinations(spec.trial_methods, 2))
     return [MethodDisagreement(spec.densities_per_km[density_index], a, b, count, spec.trials)
-            for _, density_index, _, disagreements in _cells((spec,), workers)
-            for (a, b), count in sorted(disagreements.items())]
+            for _, density_index, table_row in _cells((spec,), workers)
+            for (a, b), count in sorted(zip(pairs, table_row[-len(pairs):].tolist()))]

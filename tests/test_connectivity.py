@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from vanetconn import cli, connectivity, graphs, montecarlo, ranges, traffic
+from vanetconn import cli, connectivity, graphs, ranges, traffic
 from vanetconn.connectivity import (
     AnalyticModel,
     analytic_pc,
@@ -189,8 +189,8 @@ class TestInertiaAtLargeN:
             traffic.spacing_matrix(traffic.HeadwayVector(np.diff(x))),
             ranges.RangeAssignment(r)), "upward")
         assert np.array_equal(symmetrize(upward).entries, a.entries)
-        verdicts = montecarlo._dense_rows(x[None], r[None], ["laplacian"])
-        assert verdicts["laplacian"].tolist() == [oracle_components(a) == 1]
+        verdicts = connectivity.verdict_rows(x[None], r[None], ["laplacian"])
+        assert verdicts[0].tolist() == [oracle_components(a) == 1]
 
 
 def test_stacked_cholesky_leaves_nan_in_failed_matrix_only():
@@ -479,6 +479,51 @@ class TestLineKernels:
                 assert line_traversal(headways, assignment) == (reachable, chain)
                 outcomes.add(reachable)
         assert outcomes == {False, True}
+
+
+class TestVerdictRows:
+    @pytest.mark.parametrize("methods", [["laplacian", "exponent"], ["oracle", "chain"]],
+                             ids=["dense", "line"])
+    def test_rejects_ranges_of_other_vehicles(self, methods):
+        # one range for three vehicles would broadcast into the dense links
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            connectivity.verdict_rows(np.array([[0.0, 100.0, 900.0]]), np.array([[1000.0]]),
+                                      methods)
+
+    def test_rejects_unknown_method(self):
+        with pytest.raises(ValueError, match="methods"):
+            connectivity.verdict_rows(np.array([[0.0, 100.0]]), np.array([[150.0, 150.0]]),
+                                      ["oracle", "analytic"])
+
+    @pytest.mark.parametrize("policy,calls", [
+        (FixedRange(750.0), ["line_chain_rows"]),
+        (TwoTierRange(500.0, 1000.0, 0.5), ["line_chain_rows", "line_reachable_rows"]),
+    ], ids=["fixed", "two_tier"])
+    def test_fixed_range_oracle_is_the_one_chain_call(self, policy, calls, monkeypatch):
+        made = []
+        for name in ("line_chain_rows", "line_reachable_rows"):
+            real = getattr(connectivity, name)
+            monkeypatch.setattr(connectivity, name,
+                                lambda x, r, real=real, name=name: made.append(name) or real(x, r))
+        rng = np.random.default_rng(15)
+        positions = np.cumsum(rng.exponential(150.0, (200, 60)), axis=1)
+        ranges_ = np.stack([ranges.assign_ranges(policy, 60, rng).ranges for _ in range(200)])
+        verdicts = connectivity.verdict_rows(positions, ranges_, ("oracle", "chain"), policy)
+        assert sorted(made) == calls
+        reachable = line_reachable_rows(positions, ranges_)
+        assert np.array_equal(verdicts, [reachable, line_chain_rows(positions, ranges_)])
+        assert set(reachable.tolist()) == {False, True}
+
+    def test_rows_follow_the_order_given(self):
+        rng = np.random.default_rng(16)
+        positions = np.cumsum(rng.exponential(100.0, (50, 30)), axis=1)
+        ranges_ = rng.choice([200.0, 600.0], (50, 30))
+        methods = ("chain", "exponent", "oracle", "laplacian")
+        alone = [connectivity.verdict_rows(positions, ranges_, [m])[0] for m in methods]
+        assert np.array_equal(connectivity.verdict_rows(positions, ranges_, methods), alone)
+        assert np.array_equal(connectivity.verdict_rows(positions, ranges_, methods[::-1]),
+                              alone[::-1])
+        assert not np.array_equal(alone[0], alone[2])
 
 
 class TestDirectedReductions:

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -403,6 +404,21 @@ class TestCompareMethods:
                                  - connected[(row.density_per_km, "chain")])
         assert any(row.count > 0 for row in report)
 
+    def test_pairs_sorted_and_labelled_in_spec_order(self):
+        # unsorted methods: a pair column of the chunks' count table read
+        # under another pair's label changes a count below
+        methods = ("oracle", "laplacian", "chain", "exponent")
+        spec = ExperimentSpec((5.0, 10.0), 10_000.0, TwoTierRange(500.0, 1000.0, 0.5), methods,
+                              "upward", 64, 3)
+        report = compare_methods(spec)
+        assert [(r.density_per_km, r.method_a, r.method_b) for r in report] \
+            == [(d, a, b) for d in (5.0, 10.0) for a, b in sorted(combinations(methods, 2))]
+        for row in report:
+            records = [run_trial(spec, spec.densities_per_km.index(row.density_per_km), t).verdicts
+                       for t in range(spec.trials)]
+            assert row.count == sum(r[row.method_a] != r[row.method_b] for r in records)
+        assert {row.count for row in report if row.method_a == "oracle"} - {0}
+
     def test_worker_invariance(self):
         spec = upward_spec(methods=("oracle", "chain"), trials=64, densities=(8.0,))
         assert compare_methods(spec, workers=1) == compare_methods(spec, workers=2)
@@ -586,9 +602,11 @@ class TestTrialBlocks:
                                trials=60, methods=("laplacian", "exponent"))
             for density_index in range(len(densities)):
                 gaps, ranges = montecarlo._realizations(spec, density_index, range(spec.trials))
-                verdicts = montecarlo._verdicts(spec, gaps, ranges, spec.trial_methods)
-                [(counts, _)] = montecarlo._chunk_counts(
+                verdicts = dict(zip(spec.trial_methods, connectivity.verdict_rows(
+                    vehicle_positions(gaps), ranges, spec.trial_methods, spec.policy)))
+                [table] = montecarlo._chunk_counts(
                     (spec, density_index, density_index + 1, 0, spec.trials))
+                counts = dict(zip(spec.trial_methods, table))
                 for method, expected in self._single_snapshot_verdicts(
                         direction, policy, gaps, ranges).items():
                     assert verdicts[method].tolist() == expected
@@ -651,14 +669,17 @@ class TestTrialBlocks:
         assert disagreements[("oracle", "laplacian")] == 0
         assert 0 < counts["oracle"] < spec.trials
         # and the run path's factorization agrees with the spectrum row by row
-        rows = montecarlo._dense_rows(positions, ranges, ["laplacian"])["laplacian"]
+        [rows] = connectivity.verdict_rows(positions, ranges, ["laplacian"])
         expected = self._single_snapshot_verdicts("upward", spec.policy, gaps, ranges)
         assert rows.tolist() == expected["laplacian"]
 
     @staticmethod
     def _assert_counts_match_run_trial(spec, density_index):
-        [(counts, disagreements)] = montecarlo._chunk_counts(
+        [table] = montecarlo._chunk_counts(
             (spec, density_index, density_index + 1, 0, spec.trials))
+        methods = spec.trial_methods
+        counts = dict(zip(methods, table))
+        disagreements = dict(zip(combinations(methods, 2), table[len(methods):]))
         records = [run_trial(spec, density_index, t).verdicts for t in range(spec.trials)]
         for method in spec.trial_methods:
             assert counts[method] == sum(r[method] for r in records)
@@ -684,7 +705,7 @@ class TestExponentKernel:
         positions = vehicle_positions(gaps)
         assert positions.shape == (trials, int(segment) // 100)
         chain = line_chain_rows(positions, ranges)
-        assert montecarlo._dense_rows(positions, ranges, ["exponent"])["exponent"].tolist() \
+        assert connectivity.verdict_rows(positions, ranges, ["exponent"])[0].tolist() \
             == chain.tolist()
         outcomes = set(chain.tolist())
         assert False in outcomes and (True in outcomes or segment > 25_000.0)
